@@ -51,8 +51,9 @@ constexpr std::uint32_t word_excess(std::uint64_t w) {
 
 ShardedSlotCache::ShardedSlotCache(Config config)
     : config_(std::move(config)) {
-  // Every shard needs at least two slots (a per-pair job may land both of
-  // its pins in one shard); shards beyond that would own empty caches.
+  // Every shard needs at least two slots (a tile pins at least two items,
+  // and both may hash into one shard); shards beyond that would own empty
+  // caches.
   const std::uint32_t max_shards =
       std::max(1u, config_.num_slots / 2);
   const std::uint32_t n_shards =

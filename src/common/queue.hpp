@@ -5,8 +5,9 @@
 // producer/consumer paths in Rocket move pointers or small closures, so a
 // lock-based MPMC queue is entirely adequate; lock-free structures are
 // reserved for the work-stealing deque where contention patterns demand it.
-// Bulk push/pop amortise the lock + notify cost when the tile-batched
-// execution path moves whole groups of tasks at once (see DESIGN.md §6).
+// Bulk push/pop amortise the lock + notify cost when the runtime moves a
+// whole group at once: a tile's results, a worker's drain batch (see
+// DESIGN.md §6).
 
 #include <algorithm>
 #include <atomic>
@@ -175,10 +176,9 @@ class Semaphore {
 /// (std::latch exists in C++20 but lacks try_wait-with-timeout on all
 /// toolchains we target; this also tracks the count for assertions.)
 ///
-/// The count is atomic so the per-task count_down — executed once per pair
-/// in per-pair mode and once per *tile* in tile-batched mode — is a single
-/// fetch_sub; the mutex is only taken by the final decrement to publish the
-/// wakeup, and by waiters.
+/// The count is atomic so the per-task count_down — executed once per
+/// *tile*, with the tile's pair count — is a single fetch_sub; the mutex is
+/// only taken by the final decrement to publish the wakeup, and by waiters.
 ///
 /// Also usable as an in-flight gauge: construct with 0, count_up() on
 /// submission, count_down() on completion, and wait() only once all

@@ -92,7 +92,7 @@ ItemRange row_items(const Region& region);
 ItemRange col_items(const Region& region);
 
 /// Sorted distinct items of the region — the union of row_items and
-/// col_items. This is the set a tile-batched job pins before running its
+/// col_items. This is the set a tile job pins before running its
 /// compares; its size always equals working_set_size(region).
 std::vector<ItemIndex> working_set_items(const Region& region);
 

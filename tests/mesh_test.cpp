@@ -338,8 +338,7 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
 TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
   // Starved caches guarantee evicted candidate chains: fetches walk to
   // peers that have already dropped the item and must fall back to the
-  // object store, in both execution modes, with mode-invariant results
-  // (the §6.1 no-hang invariant, live).
+  // object store, with exact results (the §6.1 no-hang invariant, live).
   storage::MemoryStore store;
   apps::ForensicsConfig fc;
   fc.cameras = 3;
@@ -352,28 +351,24 @@ TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
 
   const ResultMap expected = single_node_reference(app, store);
 
-  for (const bool tile_batching : {true, false}) {
-    SCOPED_TRACE(tile_batching ? "tile-batched" : "per-pair");
-    LiveClusterConfig cfg;
-    cfg.num_nodes = 3;
-    cfg.node.devices = {gpu::titanx_maxwell()};
-    cfg.node.cpu_threads = 2;
-    cfg.node.tile_batching = tile_batching;
-    // 3 host slots and 4 device slots per node for 12 items.
-    cfg.node.host_cache_capacity = 3 * app.slot_size();
-    cfg.node.device_cache_capacity = 4 * app.slot_size();
-    LiveCluster cluster(cfg);
+  LiveClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.node.devices = {gpu::titanx_maxwell()};
+  cfg.node.cpu_threads = 2;
+  // 3 host slots and 4 device slots per node for 12 items.
+  cfg.node.host_cache_capacity = 3 * app.slot_size();
+  cfg.node.device_cache_capacity = 4 * app.slot_size();
+  LiveCluster cluster(cfg);
 
-    ResultMap actual;
-    const auto report = cluster.run_all_pairs(
-        app, store,
-        [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
+  ResultMap actual;
+  const auto report = cluster.run_all_pairs(
+      app, store,
+      [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
 
-    EXPECT_EQ(actual, expected);
-    // Chains were walked and missed; the store served the fallbacks.
-    EXPECT_GT(report.peer_cache.chain_misses, 0u);
-    EXPECT_GT(report.loads, 0u);
-  }
+  EXPECT_EQ(actual, expected);
+  // Chains were walked and missed; the store served the fallbacks.
+  EXPECT_GT(report.peer_cache.chain_misses, 0u);
+  EXPECT_GT(report.loads, 0u);
 }
 
 /// Items whose parsed form is highly compressible — exercises the wire
