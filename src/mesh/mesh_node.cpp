@@ -168,9 +168,14 @@ void MeshNode::serve_loop() {
     // A killed node observes its own death at the next message boundary
     // and goes silent: queued messages are discarded, nothing is acted
     // on. (Sends already fail at the transport; this stops the master
-    // from journalling or delivering results as a corpse.)
+    // from journalling or delivering results as a corpse.) Steal replies
+    // are the exception: one queued here reached this node before the
+    // kill, so the victim has already handed its region over and will
+    // never re-adopt it. The node's own executor keeps running (§12.1)
+    // and takes it from the cell; discarding it would lose its pairs
+    // whenever no failure detector re-grants them.
     if (!crashed_ && transport_.is_node_down(cfg_.id)) crashed_ = true;
-    if (crashed_) continue;
+    if (crashed_ && !std::holds_alternative<StealReply>(msg->body)) continue;
     // Frame integrity (satellite: CRC every transport payload). A
     // corrupted frame is dropped before it renews a lease or reaches a
     // handler — the injector always follows it with a clean retransmit,
@@ -1224,9 +1229,11 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
   if (state.seen) {
     state.prev = state.last;
     state.prev_at = state.last_at;
+    state.prev_owed = state.last_owed;
   }
   state.last = snap.stats;
   state.last_at = now;
+  state.last_owed = owes_work(snap.node);
   state.seen = true;
 
   // One evaluation per master interval: the master publishes through its
@@ -1280,37 +1287,53 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
 
 // --- grey-failure health state machine (DESIGN.md §15) --------------------
 
+bool MeshNode::owes_work(NodeId node) const {
+  return ledger_ == nullptr || ledger_->pairs_owed(node) > 0;
+}
+
 void MeshNode::evaluate_health() {
   using telemetry::NodeHealth;
   const auto p = transport_.num_nodes();
-  // EWMA-smooth each live publisher's instantaneous delivered-pairs rate
-  // (delta of the last two samples over their arrival spacing).
+  // EWMA-smooth each live publisher's *busy* delivered-pairs rate: the
+  // delta of its last two samples over their arrival spacing, folded only
+  // when the interval is new since the last fold and began with owed
+  // work. An interval that began idle by completion (lease finished, next
+  // one not yet granted) measures the wait for work, not the node's
+  // speed; a pair of samples already folded would count one interval
+  // twice.
   std::vector<double> rates;
   rates.reserve(p);
   for (NodeId k = 0; k < p; ++k) {
     if (dead_[k].load(std::memory_order_acquire)) continue;
-    // A node with no undelivered lease is idle by completion, not a
-    // straggler: its delivered-pairs rate legitimately falls to zero at
-    // the tail of the run. Keep it out of the median and its EWMA frozen
-    // so the detector never degrades a finished node.
-    if (ledger_ != nullptr && ledger_->pairs_owed(k) == 0) continue;
     const SnapState& s = snap_states_[k];
-    if (!s.seen || s.prev_at.time_since_epoch().count() == 0) continue;
-    const double dt =
-        std::chrono::duration<double>(s.last_at - s.prev_at).count();
-    if (dt <= 0) continue;
-    const double inst =
-        static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
     HealthState& h = health_states_[k];
-    h.ewma = h.ewma < 0 ? inst
-                        : cfg_.health_ewma_alpha * inst +
-                              (1.0 - cfg_.health_ewma_alpha) * h.ewma;
-    rates.push_back(h.ewma);
+    h.fresh = false;
+    if (s.seen && s.prev_owed && s.prev_at.time_since_epoch().count() != 0 &&
+        s.last_at != h.rated_at) {
+      const double dt =
+          std::chrono::duration<double>(s.last_at - s.prev_at).count();
+      if (dt > 0) {
+        const double inst =
+            static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
+        h.ewma = h.ewma < 0 ? inst
+                            : cfg_.health_ewma_alpha * inst +
+                                  (1.0 - cfg_.health_ewma_alpha) * h.ewma;
+        h.rated_at = s.last_at;
+        h.fresh = true;
+      }
+    }
+    // A rated node stays in the median once idle: its last busy rate is
+    // still the best estimate of its speed. Without it a straggler is
+    // only ever compared against nodes that happen to be mid-lease at the
+    // same moment — and when the healthy nodes finish their leases within
+    // an interval or two, that is nobody.
+    if (h.ewma >= 0) rates.push_back(h.ewma);
   }
   // Already-degraded stragglers drain a bounded slice every interval,
-  // whether or not a median is computable right now: late in a run the
-  // healthy nodes finish, leave the rating set, and the straggler's
-  // remaining backlog must keep migrating or the tail serialises on it.
+  // whether or not this evaluation can move a verdict: late in a run the
+  // healthy nodes finish and stop reporting busy samples, and the
+  // straggler's remaining backlog must keep migrating or the tail
+  // serialises on it.
   for (NodeId k = 0; k < p; ++k) {
     if (dead_[k].load(std::memory_order_acquire)) continue;
     if (health_of(k) == NodeHealth::kDegraded) speculate_for(k);
@@ -1330,12 +1353,13 @@ void MeshNode::evaluate_health() {
       median;
   for (NodeId k = 0; k < p; ++k) {
     if (dead_[k].load(std::memory_order_acquire)) continue;
-    // Same idle-by-completion guard as the rating pass: no owed work means
-    // no verdict change in either direction (a degraded node whose backlog
-    // was fully speculated away recovers by stealing and delivering).
-    if (ledger_ != nullptr && ledger_->pairs_owed(k) == 0) continue;
+    // Verdicts move only on fresh busy evidence, and only for a node that
+    // still owes work: no owed work means idle by completion, so no
+    // verdict change in either direction (a degraded node whose backlog
+    // was fully speculated away recovers by stealing and delivering), and
+    // a stale rate must not advance a streak a second time.
     HealthState& h = health_states_[k];
-    if (h.ewma < 0) continue;  // never rated: no verdict either way
+    if (!h.fresh || !owes_work(k)) continue;
     switch (health_of(k)) {
       case NodeHealth::kAlive:
         if (h.ewma < suspect_below) {

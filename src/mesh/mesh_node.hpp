@@ -339,13 +339,16 @@ class MeshNode final : public runtime::PeerFetchClient {
   };
 
   /// Master-side telemetry fold state for one publisher (service thread
-  /// only): the last two samples, for rate-from-delta computation.
+  /// only): the last two samples, for rate-from-delta computation, and
+  /// whether the publisher owed work when each arrived.
   struct SnapState {
     bool seen = false;
     telemetry::NodeStats last{};
     telemetry::NodeStats prev{};
     std::chrono::steady_clock::time_point last_at{};
     std::chrono::steady_clock::time_point prev_at{};
+    bool last_owed = false;
+    bool prev_owed = false;
   };
 
   void serve_loop();
@@ -377,6 +380,7 @@ class MeshNode final : public runtime::PeerFetchClient {
   /// master's own sample arrival is the metronome, so this fires once per
   /// telemetry interval.
   void evaluate_health();
+  bool owes_work(NodeId node) const;
 
   /// Record a transition locally and broadcast it to every live peer.
   void set_health(NodeId node, telemetry::NodeHealth state);
@@ -503,9 +507,11 @@ class MeshNode final : public runtime::PeerFetchClient {
   std::unique_ptr<std::atomic<std::uint8_t>[]> health_;
   /// Master-side detector state per node (service thread only).
   struct HealthState {
-    double ewma = -1.0;       // delivered-pairs rate estimate; <0 = unseeded
+    double ewma = -1.0;       // busy delivered-pairs rate; <0 = unseeded
     std::uint32_t below = 0;  // consecutive below-threshold intervals
     std::uint32_t above = 0;  // consecutive above-recovery intervals
+    bool fresh = false;       // ewma folded a new sample this evaluation
+    std::chrono::steady_clock::time_point rated_at{};  // that sample's arrival
   };
   std::vector<HealthState> health_states_;  // service thread only
   std::uint32_t health_seq_ = 0;            // service thread only

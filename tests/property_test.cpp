@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "cache/distributed_directory.hpp"
@@ -114,6 +115,16 @@ struct SchedParam {
   std::uint32_t n;
   std::uint64_t leaf;
 };
+
+// Printed by value: gtest's fallback dumps the raw bytes, which here hold
+// the vector's heap pointers and so change the test names on every run.
+void PrintTo(const SchedParam& param, std::ostream* os) {
+  *os << "workers{";
+  for (std::size_t i = 0; i < param.workers_per_node.size(); ++i) {
+    *os << (i == 0 ? "" : ",") << param.workers_per_node[i];
+  }
+  *os << "}_n" << param.n << "_leaf" << param.leaf;
+}
 
 class SchedulerConservation : public ::testing::TestWithParam<SchedParam> {};
 
