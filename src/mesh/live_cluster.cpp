@@ -215,7 +215,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
       }
       mc.fetch_timeout_s = config_.fetch_timeout_s;
       mc.max_fetch_retries = config_.max_fetch_retries;
-      mc.export_leases = true;
     }
     // Grey-failure knobs ride on every node: health verdicts are a master
     // duty, and with failover any node may become the master mid-run.

@@ -88,11 +88,10 @@ MeshNode::MeshNode(Config config, Transport& transport,
   }
   health_states_.assign(p, HealthState{});
   declared_.assign(p, false);
-  for (std::uint32_t w = 0; w < std::max(1u, cfg_.num_workers); ++w) {
-    auto cell = std::make_unique<StealCell>();
-    cell->rng.reseed(cfg_.seed * 0x9E3779B97F4A7C15ULL +
-                     (static_cast<std::uint64_t>(cfg_.id) << 20) + w + 1);
-    cells_.push_back(std::move(cell));
+  cells_.resize(std::max(1u, cfg_.num_workers));
+  for (std::uint32_t w = 0; w < cells_.size(); ++w) {
+    cells_[w].rng.reseed(cfg_.seed * 0x9E3779B97F4A7C15ULL +
+                         (static_cast<std::uint64_t>(cfg_.id) << 20) + w + 1);
   }
   if (cfg_.ledger_items > 0 && !cfg_.initial_grants.empty() && is_master()) {
     ledger_ = std::make_unique<ResultLedger>(cfg_.ledger_items, p);
@@ -172,8 +171,8 @@ void MeshNode::serve_loop() {
     // are the exception: one queued here reached this node before the
     // kill, so the victim has already handed its region over and will
     // never re-adopt it. The node's own executor keeps running (§12.1)
-    // and takes it from the cell; discarding it would lose its pairs
-    // whenever no failure detector re-grants them.
+    // and takes it from the adoption queue; discarding it would lose its
+    // pairs whenever no failure detector re-grants them.
     if (!crashed_ && transport_.is_node_down(cfg_.id)) crashed_ = true;
     if (crashed_ && !std::holds_alternative<StealReply>(msg->body)) continue;
     // Frame integrity (satellite: CRC every transport payload). A
@@ -589,28 +588,9 @@ void MeshNode::on_cache_probe(CacheProbe probe) {
 std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
   const auto p = transport_.num_nodes();
   if (p < 2) return std::nullopt;
-  // Orphans first: re-execution grants parked here and regions this node
-  // failed to ship to a dead thief.
-  {
-    std::scoped_lock lock(mutex_);
-    if (!orphans_.empty()) {
-      const dnc::Region out = orphans_.front();
-      orphans_.pop_front();
-      remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
-  }
-  auto& cell = *cells_[worker % cells_.size()];
-  std::unique_lock lock(cell.mutex);
-  if (!cell.regions.empty()) {
-    const dnc::Region out = cell.regions.front();
-    cell.regions.pop_front();
-    remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(telemetry::EventKind::kRemoteSteal, worker, 1);
-    }
-    return out;
-  }
+  auto& cell = cells_[worker % cells_.size()];
+  std::unique_lock lock(adopt_mutex_);
+  if (!adopted_.empty()) return take_adopted(worker);
   if (global_done()) return std::nullopt;
   const auto t0 = std::chrono::steady_clock::now();
   if (cell.outstanding == 0) {
@@ -677,27 +657,47 @@ std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
       return std::nullopt;
     }
   }
-  cell.cv.wait_for(lock, kStealReplyTimeout, [&] {
-    return !cell.regions.empty() || global_done();
+  adopt_cv_.wait_for(lock, kStealReplyTimeout, [&] {
+    return !adopted_.empty() || global_done();
   });
-  if (!cell.regions.empty()) {
-    const dnc::Region out = cell.regions.front();
-    cell.regions.pop_front();
-    remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
+  if (!adopted_.empty()) {
     steal_rtt_->record_seconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(telemetry::EventKind::kRemoteSteal, worker, 1);
-    }
-    return out;
+    return take_adopted(worker);
   }
   // Timed out: treat the request as lost so the next attempt may try
   // another victim. `outstanding` is a throttle, not an exact count — a
-  // late reply still parks its region in the cell (never lost), and the
+  // late reply still lands in the adoption queue (never lost), and the
   // guarded decrement in on_steal_reply keeps it non-negative.
   if (cell.outstanding > 0) --cell.outstanding;
   return std::nullopt;
+}
+
+dnc::Region MeshNode::take_adopted(std::uint32_t worker) {
+  const dnc::Region out = adopted_.front();
+  adopted_.pop_front();
+  remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
+  if (cfg_.events != nullptr) {
+    cfg_.events->record(telemetry::EventKind::kRemoteSteal, worker, 1);
+  }
+  return out;
+}
+
+void MeshNode::adopt(const dnc::Region& region,
+                     std::optional<std::uint32_t> grant_epoch) {
+  {
+    std::scoped_lock lock(adopt_mutex_);
+    adopted_.push_back(region);
+  }
+  adopt_cv_.notify_one();
+  if (grant_epoch.has_value()) {
+    ++failover_.regions_adopted;
+    if (cfg_.events != nullptr) {
+      cfg_.events->record(telemetry::EventKind::kRegionAdopt, cfg_.id,
+                          *grant_epoch);
+    }
+  }
 }
 
 void MeshNode::on_steal_request(const StealRequest& req) {
@@ -720,34 +720,29 @@ void MeshNode::on_steal_request(const StealRequest& req) {
                    region.value_or(dnc::Region{}), serve};
   if (!transport_.send(cfg_.id, req.thief, net::Tag::kStealReply,
                        std::move(reply))) {
-    if (region.has_value()) {
-      // The thief vanished after we popped the region: park it as an
-      // orphan so this node's own idle workers re-adopt it (they keep
-      // polling remote_steal until the cluster is done, and the orphan's
-      // pairs keep the done flag false) — pairs are never lost to a dead
-      // peer.
-      std::scoped_lock lock(mutex_);
-      orphans_.push_back(*region);
-    }
+    // The thief vanished after we popped the region: this node's own
+    // idle workers re-adopt it (they keep polling remote_steal until the
+    // cluster is done, and its pairs keep the done flag false). The
+    // lease never left this node, so the master needs no notice.
+    if (region.has_value()) adopt(*region);
     return;
   }
-  if (region.has_value() && cfg_.export_leases) {
-    // Lease transfer notice, sent only AFTER the reply demonstrably
-    // reached the thief's inbox: from here on the thief owns the region,
-    // and the master's ledger must re-grant it if the *thief* dies (the
-    // victim's own death no longer covers these pairs).
+  if (region.has_value()) {
+    // Steal notice, sent only AFTER the reply demonstrably reached the
+    // thief's inbox: from here on the thief owns the region, and the
+    // master's ledger must re-grant it if the *thief* dies (the victim's
+    // own death no longer covers these pairs).
     transport_.send(cfg_.id, current_master(), net::Tag::kFailover,
                     StealExport{*region, req.thief, serve});
   }
 }
 
 void MeshNode::on_steal_reply(const StealReply& reply) {
-  auto& cell = *cells_[reply.worker % cells_.size()];
   telemetry::SpanContext steal_ctx;
   {
-    std::scoped_lock lock(cell.mutex);
+    std::scoped_lock lock(adopt_mutex_);
+    auto& cell = cells_[reply.worker % cells_.size()];
     if (cell.outstanding > 0) --cell.outstanding;
-    if (reply.has_region) cell.regions.push_back(reply.region);
     steal_ctx = std::exchange(cell.span, telemetry::SpanContext{});
   }
   if (cfg_.spans != nullptr && steal_ctx.sampled()) {
@@ -759,14 +754,12 @@ void MeshNode::on_steal_reply(const StealReply& reply) {
                         telemetry::SpanPhase::kSteal, now, now);
     }
   }
-  cell.cv.notify_all();
+  if (reply.has_region) adopt(reply.region);
 }
 
 void MeshNode::wake() {
-  for (auto& cell : cells_) {
-    std::scoped_lock lock(cell->mutex);
-    cell->cv.notify_all();
-  }
+  std::scoped_lock lock(adopt_mutex_);
+  adopt_cv_.notify_all();
 }
 
 // --- master: results, deaths, re-grants -----------------------------------
@@ -997,9 +990,7 @@ void MeshNode::adopt_master(NodeId dead_master) {
     }
     return;
   }
-  for (const dnc::Region& region : ledger_->undelivered_of(dead_master)) {
-    regrant_region(region);
-  }
+  regrant_lease_of(dead_master);
 }
 
 void MeshNode::init_region_watch() {
@@ -1088,31 +1079,21 @@ void MeshNode::on_node_down(const NodeDown& down, NodeId from) {
       transport_.send(cfg_.id, peer, net::Tag::kFailover,
                       NodeDown{down.node, death_epoch_});
     }
-    if (ledger_ != nullptr) {
-      for (const auto& region : ledger_->undelivered_of(down.node)) {
-        regrant_region(region);
-      }
-    }
+    regrant_lease_of(down.node);
   }
   wake();
 }
 
 void MeshNode::on_steal_export(const StealExport& exp) {
   if (exp.span.sampled()) {
-    // Third leg of a sampled steal: the lease-transfer notice reaching
-    // the master (victim → master arrow, child of the serve span).
+    // Third leg of a sampled steal: the steal notice reaching the master
+    // (victim → master arrow, child of the serve span).
     const double now = trace_now();
     record_child_span(exp.span, 0x78707274 /* 'xprt' */,
                       telemetry::SpanPhase::kSteal, now, now);
   }
-  if (ledger_ == nullptr || exp.thief >= transport_.num_nodes()) return;
-  if (!dead_[exp.thief].load(std::memory_order_acquire)) {
-    ledger_->transfer(exp.region, exp.thief);
-    return;
-  }
-  // The thief died between the victim's reply and this notice landing:
-  // no live node holds the region any more — re-grant it immediately.
-  regrant_region(exp.region);
+  if (exp.thief >= transport_.num_nodes()) return;
+  move_lease(exp.region, exp.thief, /*reexecution=*/false);
 }
 
 void MeshNode::on_region_grant(const RegionGrant& grant) {
@@ -1122,16 +1103,7 @@ void MeshNode::on_region_grant(const RegionGrant& grant) {
     record_child_span(grant.span, 0x61646f70 /* 'adop' */,
                       telemetry::SpanPhase::kGrant, now, now);
   }
-  {
-    std::scoped_lock lock(mutex_);
-    orphans_.push_back(grant.region);
-  }
-  ++failover_.regions_adopted;
-  if (cfg_.events != nullptr) {
-    cfg_.events->record(telemetry::EventKind::kRegionAdopt, cfg_.id,
-                        grant.epoch);
-  }
-  wake();
+  adopt(grant.region, grant.epoch);
 }
 
 NodeId MeshNode::pick_survivor() {
@@ -1155,22 +1127,32 @@ NodeId MeshNode::pick_survivor() {
   return cfg_.id;  // everyone else is gone: the master executes it
 }
 
-void MeshNode::regrant_region(const dnc::Region& region) {
-  if (dnc::count_pairs(region) == 0) return;
-  const NodeId to = pick_survivor();
-  if (cfg_.events != nullptr) {
-    const std::uint64_t pairs = dnc::count_pairs(region);
-    cfg_.events->record(
-        telemetry::EventKind::kRegionRegrant, to,
-        static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(pairs, UINT32_MAX)));
+void MeshNode::regrant_lease_of(NodeId dead) {
+  if (ledger_ == nullptr) return;
+  // Each region names its dead owner as the target: move_lease's
+  // dead-target redirect picks the survivor.
+  for (const dnc::Region& region : ledger_->undelivered_of(dead)) {
+    move_lease(region, dead, /*reexecution=*/true);
   }
-  regrant_region_to(region, to);
 }
 
-void MeshNode::regrant_region_to(const dnc::Region& region, NodeId to) {
-  if (to != cfg_.id) {
-    ledger_->grant(to, region, /*reexecution=*/true);
+void MeshNode::move_lease(const dnc::Region& region, NodeId to,
+                          bool reexecution) {
+  const std::uint64_t pairs = dnc::count_pairs(region);
+  if (ledger_ == nullptr || pairs == 0) return;
+  if (dead_[to].load(std::memory_order_acquire)) {
+    // No live node holds the region any more (its owner died, or its
+    // thief died before the steal notice landed): re-execute it.
+    to = pick_survivor();
+    reexecution = true;
+    if (cfg_.events != nullptr) {
+      cfg_.events->record(
+          telemetry::EventKind::kRegionRegrant, to,
+          static_cast<std::uint32_t>(
+              std::min<std::uint64_t>(pairs, UINT32_MAX)));
+    }
+  }
+  if (reexecution && to != cfg_.id) {
     telemetry::SpanContext grant;
     double t0 = 0.0;
     if (tracing()) {
@@ -1187,20 +1169,12 @@ void MeshNode::regrant_region_to(const dnc::Region& region, NodeId to) {
         cfg_.spans->record(grant, telemetry::SpanPhase::kGrant, t0,
                            trace_now());
       }
-      return;
+    } else {
+      to = cfg_.id;  // unreachable after all: the master runs it itself
     }
-    // The chosen survivor is unreachable after all: take the lease back
-    // so the ledger matches who will actually run it.
-    ledger_->grant(cfg_.id, region, /*reexecution=*/false);
-  } else {
-    ledger_->grant(cfg_.id, region, /*reexecution=*/true);
   }
-  {
-    std::scoped_lock lock(mutex_);
-    orphans_.push_back(region);
-  }
-  ++failover_.regions_adopted;
-  wake();
+  ledger_->grant(to, region, reexecution);
+  if (reexecution && to == cfg_.id) adopt(region, death_epoch_);
 }
 
 // --- telemetry: snapshot stream (DESIGN.md §13) ---------------------------
@@ -1446,7 +1420,7 @@ void MeshNode::speculate_for(NodeId node) {
   }
   // Bounded speculative re-grant: peel up to N of the straggler's
   // undelivered regions per interval and hand each to the fastest healthy
-  // node. The ledger transfers ownership, so a region is never speculated
+  // node. move_lease moves ownership, so a region is never speculated
   // twice and the straggler's late results for it dedup as duplicates —
   // first result wins (Schoeneman & Zola's speculation argument, made
   // safe by PR 6's exactly-once ledger). The straggler keeps its lease
@@ -1466,7 +1440,7 @@ void MeshNode::speculate_for(NodeId node) {
           static_cast<std::uint32_t>(
               std::min<std::uint64_t>(pairs, UINT32_MAX)));
     }
-    regrant_region_to(region, to);
+    move_lease(region, to, /*reexecution=*/true);
     ++granted;
   }
 }

@@ -12,11 +12,17 @@
 //                 through the HostCacheProbe the NodeRuntime registers
 //                 while its engine is live;
 //   * victim    — steal requests answered from the registered
-//                 StealExporter;
+//                 StealExporter, each hand-over followed by a StealExport
+//                 notice to the master;
+//   * adopter   — every region this node is handed (a steal reply, a
+//                 RegionGrant, its own failed reply, a master self-grant)
+//                 enters one adoption queue through adopt(), which
+//                 remote_steal drains;
 //   * master    — on the master node only: exactly-once per-pair result
 //                 aggregation (ResultLedger dedup), the failure detector's
-//                 death verdicts with re-execution grants, and the
-//                 cluster-wide completion signal.
+//                 death verdicts, the cluster-wide completion signal, and
+//                 every lease move after the initial seeding, through
+//                 move_lease().
 //
 // A second, low-rate ticker thread drives everything timeout-shaped
 // (DESIGN.md §12): heartbeat leases to the master, the master's
@@ -135,11 +141,6 @@ class MeshNode final : public runtime::PeerFetchClient {
     /// when its send is rejected.
     double fetch_timeout_s = 0.0;
     std::uint32_t max_fetch_retries = 3;
-
-    /// Victim side: notify the master of every successful steal transfer
-    /// (StealExport) so the re-execution ledger tracks real ownership.
-    /// Enabled by LiveCluster together with the master's ledger.
-    bool export_leases = false;
 
     // --- telemetry (DESIGN.md §13) ---
 
@@ -266,9 +267,10 @@ class MeshNode final : public runtime::PeerFetchClient {
   void fetch(ItemId item, DoneFn done,
              telemetry::SpanContext ctx = {}) override;
 
-  /// Cross-node steal with a bounded reply wait; nullopt on timeout,
-  /// empty-handed victim, or cluster completion. Nodes declared dead are
-  /// skipped as victims.
+  /// Take a region from the adoption queue, or send a steal request and
+  /// wait a bounded time for something to arrive there; nullopt on
+  /// timeout, empty-handed victim, or cluster completion. Nodes declared
+  /// dead are skipped as victims.
   std::optional<dnc::Region> remote_steal(std::uint32_t worker);
 
   bool global_done() const {
@@ -283,7 +285,8 @@ class MeshNode final : public runtime::PeerFetchClient {
   /// as register_probe.
   void register_stats(telemetry::NodeStatsFn fn);
 
-  /// Wake blocked steal waiters (called cluster-wide on completion).
+  /// Wake blocked adoption-queue waiters (called cluster-wide on
+  /// completion).
   void wake();
 
   // ---- metrics (stable once the cluster has quiesced) ----
@@ -319,12 +322,11 @@ class MeshNode final : public runtime::PeerFetchClient {
   }
 
  private:
+  /// One executor worker's steal-request state, guarded by adopt_mutex_.
+  /// The regions themselves land in the node-wide adoption queue.
   struct StealCell {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<dnc::Region> regions;  // stolen regions awaiting pickup
-    std::uint32_t outstanding = 0;    // unanswered requests
-    telemetry::SpanContext span;      // in-flight steal's context (§16)
+    std::uint32_t outstanding = 0;  // unanswered requests (a throttle)
+    telemetry::SpanContext span;    // in-flight steal's context (§16)
     Rng rng{1};
   };
 
@@ -415,11 +417,29 @@ class MeshNode final : public runtime::PeerFetchClient {
   /// Ticker: sample this node's runtime and ship it to the master.
   void publish_snapshot();
 
-  /// Master, service thread: re-grant `region` to a live survivor (or
-  /// park it locally when no send succeeds).
-  void regrant_region(const dnc::Region& region);
-  void regrant_region_to(const dnc::Region& region, NodeId to);
+  // --- ownership (DESIGN.md §12.3) ---
+
+  /// Master, service thread: the only writer of ledger ownership after
+  /// the initial seeding. A plain move (`reexecution` false) records that
+  /// `to` already holds the region (a steal notice). A re-execution move
+  /// also ships it to `to` as a RegionGrant. A dead `to` is redirected to
+  /// pick_survivor() as a re-execution; an unreachable one leaves the
+  /// region with the master, which adopts it.
+  void move_lease(const dnc::Region& region, NodeId to, bool reexecution);
+
+  /// Master: move every undelivered pair `dead` owned to survivors.
+  void regrant_lease_of(NodeId dead);
   NodeId pick_survivor();
+
+  /// Service thread: queue `region` for this node's executor — the one
+  /// entry point for stolen regions, re-execution grants and regions
+  /// this node failed to hand over. `grant_epoch` is set for a
+  /// re-execution grant, which counts in regions_adopted.
+  void adopt(const dnc::Region& region,
+             std::optional<std::uint32_t> grant_epoch = std::nullopt);
+
+  /// Pop the adoption queue's front; adopt_mutex_ held, queue non-empty.
+  dnc::Region take_adopted(std::uint32_t worker);
 
   /// Forward the probe to chain[index], skipping unreachable candidates;
   /// an exhausted chain reports a miss to the requester. `span` is the
@@ -464,13 +484,12 @@ class MeshNode final : public runtime::PeerFetchClient {
   std::shared_ptr<std::atomic<bool>> done_;
   std::thread service_;
 
-  mutable std::mutex mutex_;  // directory, exporter, pending, stats, orphans
+  mutable std::mutex mutex_;  // directory, exporter, pending, stats, stats_fn_
   cache::DistributedDirectory directory_;
   steal::StealExporter* exporter_ = nullptr;
   std::unordered_map<ItemId, PendingFetch> pending_;
   PeerCacheStats stats_;
-  std::deque<dnc::Region> orphans_;  // regions awaiting local re-adoption
-  telemetry::NodeStatsFn stats_fn_;  // guarded by mutex_; invoked outside
+  telemetry::NodeStatsFn stats_fn_;
 
   // --- telemetry instruments (lock-free recording) ---
   telemetry::MetricsRegistry metrics_;
@@ -489,7 +508,12 @@ class MeshNode final : public runtime::PeerFetchClient {
   mutable std::mutex probe_mutex_;
   runtime::HostCacheProbe* probe_ = nullptr;
 
-  std::vector<std::unique_ptr<StealCell>> cells_;
+  /// The adoption queue: every region this node will execute beyond its
+  /// initial partition. adopt_mutex_ also guards the steal cells.
+  std::mutex adopt_mutex_;
+  std::condition_variable adopt_cv_;
+  std::deque<dnc::Region> adopted_;
+  std::vector<StealCell> cells_;
 
   // --- master state (service thread only) ---
   std::uint64_t results_seen_ = 0;   // user-delivered results (incl. recovered)

@@ -24,25 +24,16 @@ void ResultLedger::grant(NodeId owner, const dnc::Region& region,
   if (reexecution) ++regions_regranted_;
   dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
     const std::uint64_t k = index_of(pair.left, pair.right);
-    if (!delivered_[k] && owner_[k] != owner) {
+    // A delivered pair's race is over: its owner is never read again.
+    if (delivered_[k]) return;
+    if (owner_[k] != owner) {
       dec_owed(owner_[k]);
       inc_owed(owner);
+      owner_[k] = owner;
     }
-    owner_[k] = owner;
-    if (reexecution && !delivered_[k]) {
+    if (reexecution) {
       if (epoch_[k] < 0xFF) ++epoch_[k];
       if (epoch_[k] > max_epoch_) max_epoch_ = epoch_[k];
-    }
-  });
-}
-
-void ResultLedger::transfer(const dnc::Region& region, NodeId thief) {
-  dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
-    const std::uint64_t k = index_of(pair.left, pair.right);
-    if (!delivered_[k] && owner_[k] != thief) {
-      dec_owed(owner_[k]);
-      inc_owed(thief);
-      owner_[k] = thief;
     }
   });
 }

@@ -3,20 +3,21 @@
 // Master-side exactly-once result accounting and re-execution ledger.
 //
 // The master of a LiveCluster owns one ResultLedger, mutated only on its
-// mesh service thread (result handling, steal-transfer notices and death
-// verdicts are all inbox messages, so ledger access is serialised for
-// free). It tracks two things per pair of the root region:
+// mesh service thread (result handling, steal notices and death verdicts
+// are all inbox messages, so ledger access is serialised for free). It
+// tracks two things per pair of the root region:
 //
 //   * owner     — which node currently holds the lease to execute the
-//                 pair. Set by the initial partition, moved by StealExport
-//                 transfer notices, and re-granted to a survivor when the
-//                 owner dies.
+//                 pair. Set by the initial partition; after that, moved
+//                 only by the master's MeshNode::move_lease — on a
+//                 StealExport notice, a death or failover re-grant, or a
+//                 straggler speculation slice.
 //   * delivered — whether a result for the pair has been accepted.
 //
 // The dedup invariant (DESIGN.md §12): the FIRST result received for a
 // pair is delivered to the user callback; every later one is dropped and
 // counted, whatever its sender's liveness. Ownership only decides what is
-// RE-EXECUTED on a death — it can lag reality (a transfer notice in
+// RE-EXECUTED on a death — it can lag reality (a steal notice in
 // flight when the victim dies), and the worst such lag re-runs a region
 // twice, which dedup absorbs. Nothing is ever lost: a region is re-granted
 // unless a live node provably holds it, and every re-granted pair's
@@ -42,13 +43,11 @@ class ResultLedger {
 
   ResultLedger(dnc::ItemIndex n, std::uint32_t num_nodes);
 
-  /// Lease every pair of `region` to `owner` (initial partition grant or
-  /// survivor re-grant; re-grants bump the pairs' re-execution epoch).
+  /// Lease the undelivered pairs of `region` to `owner`: the initial
+  /// partition, a steal notice, or a re-grant. A re-execution grant bumps
+  /// the pairs' epoch and counts in regions_regranted(). Delivered pairs
+  /// are left alone (their race is already over).
   void grant(NodeId owner, const dnc::Region& region, bool reexecution);
-
-  /// Steal-transfer notice: undelivered pairs of `region` now belong to
-  /// `thief`. Delivered pairs are left alone (their race is already over).
-  void transfer(const dnc::Region& region, NodeId thief);
 
   /// Record an incoming result. Returns true when this is the first result
   /// for the pair (deliver it); false for a duplicate (drop it).

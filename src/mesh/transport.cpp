@@ -206,8 +206,10 @@ FaultSchedule FaultSchedule::single_kill(std::uint64_t seed,
   if (num_nodes < 2 || max_messages == 0) return schedule;
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
   Fault fault;
-  // Node 0 is the master by LiveCluster convention; master death is a
-  // documented abort, not a survivable fault (DESIGN.md §12).
+  // Node 0 is the master by LiveCluster convention. Master death is
+  // survivable (DESIGN.md §14 failover), but master kills have their own
+  // scripted matrix (MasterFailover.*); this sweep draws non-master
+  // victims only, so seeded schedules replay as they always have.
   fault.node = 1 + static_cast<NodeId>(rng.uniform_index(num_nodes - 1));
   fault.after_messages = 1 + rng.uniform_index(max_messages);
   schedule.faults.push_back(fault);

@@ -117,23 +117,24 @@ struct NodeDown {
   std::uint32_t epoch = 0;  // cluster-wide death count when declared
 };
 
-/// Victim → master: lease transfer notice — `region` moved from this
-/// victim's deques to `thief` through a successful steal reply. Keeps the
-/// master's re-execution ledger current so a later death re-grants
-/// exactly the regions the dead node actually owned.
+/// Victim → master: steal notice — `region` moved from this victim's
+/// deques to `thief` through a successful steal reply. The master's
+/// move_lease records the move in its ledger, so a later death re-grants
+/// exactly the regions the dead node actually owned; a thief already
+/// dead when the notice lands has the region re-granted to a survivor.
 struct StealExport {
   dnc::Region region;
   NodeId thief = 0;
   telemetry::SpanContext span;
 };
 
-/// Master → survivor: re-execution lease for a dead node's uncompleted
-/// region. The receiver parks it in its orphan queue (the same machinery
-/// that re-adopts regions whose thief vanished) and its idle workers
-/// pick it up via remote_steal.
+/// Master → survivor: re-execution lease, sent by move_lease for a dead
+/// node's uncompleted region or a straggler's speculated backlog. The
+/// receiver adopts it into its adoption queue (where steal replies land
+/// too) and its idle workers pick it up via remote_steal.
 struct RegionGrant {
   dnc::Region region;
-  std::uint32_t epoch = 0;  // re-execution epoch of the region's pairs
+  std::uint32_t epoch = 0;  // master's death count when granted
   telemetry::SpanContext span;
 };
 

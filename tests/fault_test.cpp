@@ -1,13 +1,15 @@
 // Failure-model tests (DESIGN.md §12): scripted fault schedules and link
 // partitions at the transport, the master's exactly-once ResultLedger, the
 // mediator chain-walk cap, the heartbeat/lease failure detector, orphaned
-// steal regions re-adopted under a racing node death (TSAN target), the
-// bounded kFailed retry path, and the chaos acceptance matrix — LiveCluster
-// runs that kill nodes mid-computation and must still produce the exact
-// single-node result multiset.
+// steal regions re-adopted under a racing node death (TSAN target), a
+// steal notice naming a dead thief, the bounded kFailed retry path, and
+// the chaos acceptance matrix — LiveCluster runs that kill nodes
+// mid-computation and must still produce the exact single-node result
+// multiset.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -191,9 +193,9 @@ TEST(ResultLedger, TransferMovesOnlyUndeliveredPairs) {
   ledger.grant(1, root, false);
   ASSERT_TRUE(ledger.record(0, 1));
 
-  // Steal-transfer notice: everything undelivered now belongs to node 2;
-  // the delivered pair's race is already over and stays put.
-  ledger.transfer(root, 2);
+  // Steal notice (a plain grant): everything undelivered now belongs to
+  // node 2; the delivered pair's race is already over and stays put.
+  ledger.grant(2, root, /*reexecution=*/false);
   EXPECT_TRUE(ledger.undelivered_of(1).empty());
   PairSet expected;
   dnc::for_each_pair(root, [&](const dnc::Pair& p) {
@@ -350,9 +352,9 @@ TEST(StealFailover, OrphanedRegionsExecuteExactlyOnce) {
   // stealing. Node 1 is killed mid-run, so in-flight steal replies race
   // the kill three ways: delivered-and-executed on the thief, queued on
   // the wire (still drained — it was sent before the crash), or rejected
-  // at send, in which case the victim parks the region as an orphan and
-  // re-adopts it through its own steal hook. Every pair must execute
-  // exactly once across both nodes — no loss, no re-execution.
+  // at send, in which case the victim adopts the region into its own
+  // adoption queue and runs it through its steal hook. Every pair must
+  // execute exactly once across both nodes — no loss, no re-execution.
   const dnc::ItemIndex n = 48;
   const auto root = dnc::root_region(n);
   const std::uint64_t total = dnc::count_pairs(root);
@@ -436,6 +438,72 @@ TEST(StealFailover, OrphanedRegionsExecuteExactlyOnce) {
     EXPECT_EQ(count, 1) << "pair (" << pair.first << "," << pair.second
                         << ") executed " << count << " times";
   }
+}
+
+TEST(StealFailover, NoticeNamingADeadThiefRegrantsToSurvivors) {
+  // A steal notice that lands after its thief's death verdict: the master
+  // must not lease the region to the corpse. Only the master runs; nodes
+  // 1 and 2 are inboxes the test reads directly. Node 1 (the victim) owns
+  // the whole pair space; node 2 (the thief) is killed and declared dead
+  // before two steal notices naming it arrive. Everything is ordered by
+  // the master's FIFO inbox, so no step waits on the clock.
+  const dnc::ItemIndex n = 8;
+  const auto root = dnc::root_region(n);
+  const dnc::Region a{0, 4, 4, 8, 1};
+  const dnc::Region b{4, 8, 4, 8, 1};
+  InProcessTransport transport(3);
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  telemetry::EventLog events;
+  MeshNode::Config mc;
+  mc.id = MeshNode::kMaster;
+  mc.ledger_items = n;
+  mc.initial_grants = {{}, {root}, {}};
+  mc.events = &events;
+  MeshNode master(mc, transport, done);
+  master.start();
+
+  transport.set_down(2);
+  ASSERT_TRUE(transport.send(0, 0, net::Tag::kFailover, NodeDown{2, 0}));
+  for (const dnc::Region& region : {a, b}) {
+    ASSERT_TRUE(transport.send(1, 0, net::Tag::kFailover,
+                               StealExport{region, 2, {}}));
+  }
+  // A steal request last: its reply reaching node 1 proves the master has
+  // handled everything posted before it.
+  ASSERT_TRUE(transport.send(1, 0, net::Tag::kStealRequest,
+                             StealRequest{1, 0, {}}));
+  std::vector<dnc::Region> granted;
+  while (true) {
+    auto msg = transport.recv(1);
+    ASSERT_TRUE(msg.has_value());
+    if (const auto* grant = std::get_if<RegionGrant>(&msg->body)) {
+      granted.push_back(grant->region);
+    }
+    if (std::holds_alternative<StealReply>(msg->body)) break;
+  }
+  transport.close();
+  master.join();
+
+  // Every pair of both regions is leased to a live node: granted to
+  // node 1, or adopted by the master itself (its queue is drained here
+  // with the service thread joined, so no steal request can succeed).
+  std::vector<dnc::Region> leased = granted;
+  while (auto region = master.remote_steal(0)) leased.push_back(*region);
+  EXPECT_EQ(pair_set(leased), pair_set({a, b}));
+  const FailoverStats stats = master.failover_stats();
+  EXPECT_EQ(stats.regions_adopted + granted.size(), 2u);
+  EXPECT_EQ(stats.node_deaths, 1u);
+  EXPECT_EQ(stats.regions_reexecuted, 2u)
+      << "a notice naming a dead thief is a re-execution";
+  // One instant per counted event, self-adoption included.
+  const auto count = [&](telemetry::EventKind kind) {
+    const auto all = events.events();
+    return static_cast<std::uint64_t>(
+        std::count_if(all.begin(), all.end(),
+                      [&](const auto& e) { return e.kind == kind; }));
+  };
+  EXPECT_EQ(count(telemetry::EventKind::kRegionRegrant), 2u);
+  EXPECT_EQ(count(telemetry::EventKind::kRegionAdopt), stats.regions_adopted);
 }
 
 // --- chaos acceptance matrix ----------------------------------------------

@@ -193,8 +193,9 @@ TEST(ResultLedger, PairsOwedTracksGrantsTransfersAndDeliveries) {
   EXPECT_FALSE(ledger.record(0, 1));
   EXPECT_EQ(ledger.pairs_owed(0), 8u);
 
-  // A steal transfer moves the undelivered remainder of the region.
-  ledger.transfer(dnc::Region{0, 1, 1, 6, 0}, 2);
+  // A steal notice (a plain grant) moves the undelivered remainder of
+  // the region.
+  ledger.grant(2, dnc::Region{0, 1, 1, 6, 0}, /*reexecution=*/false);
   EXPECT_EQ(ledger.pairs_owed(0), 4u);
   EXPECT_EQ(ledger.pairs_owed(2), 4u);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -333,6 +334,53 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
   EXPECT_EQ(node_loads, report.loads);
   // Every node pulled its weight.
   for (const auto& node : report.nodes) EXPECT_GT(node.pairs, 0u);
+}
+
+TEST(LiveCluster, FastNodeStealsFromAStragglerAcrossNodes) {
+  // Node 1 runs its kernels 20x slower, so node 0 drains its own half and
+  // must live off cross-node steals from node 1. Health detection and
+  // speculation are off (the default), so every region leaves node 1 only
+  // through a steal reply into node 0's adoption queue.
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 2;
+  fc.images_per_camera = 8;
+  fc.width = 48;
+  fc.height = 40;
+  fc.seed = 23;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+  const ResultMap expected = single_node_reference(app, store);
+
+  LiveClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.node.devices = {gpu::titanx_maxwell()};
+  cfg.node.host_cache_capacity = 64_MiB;
+  cfg.node.cpu_threads = 2;
+  cfg.node.trace = true;
+  cfg.slow_node = 1;
+  cfg.slow_factor = 20.0;
+  LiveCluster cluster(cfg);
+  ResultMap actual;
+  const auto report = cluster.run_all_pairs(
+      app, store,
+      [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
+
+  EXPECT_EQ(actual, expected);
+  EXPECT_GT(report.remote_steals, 0u);
+  EXPECT_EQ(report.duplicate_results_dropped, 0u);
+  // The trace and the counters agree: one remote_steal instant per region
+  // a node's executor took from its adoption queue.
+  for (std::size_t id = 0; id < report.nodes.size(); ++id) {
+    const auto& node = report.nodes[id];
+    const auto instants = std::count_if(
+        node.trace.events.begin(), node.trace.events.end(),
+        [](const telemetry::TraceEvent& e) {
+          return e.kind == telemetry::EventKind::kRemoteSteal;
+        });
+    EXPECT_EQ(static_cast<std::uint64_t>(instants), node.steal.remote_steals)
+        << "node " << id;
+  }
 }
 
 TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
