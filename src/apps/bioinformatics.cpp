@@ -48,32 +48,28 @@ std::string to_fasta(const std::vector<std::string>& proteins,
   return out;
 }
 
-/// Packed CV buffer layout: [u32 count][count × u32 idx][count × f32 val].
+/// Packed CV slot layout:
+///   [f64 norm2][u32 count][count × u32 idx][count × f32 val].
+/// The double leads so every field stays naturally aligned; `norm2` is
+/// Σ val² in value order, the order cv_correlation sums it in.
+constexpr std::size_t kPackedCvHeaderBytes =
+    sizeof(double) + sizeof(std::uint32_t);
+
 void pack_cv(const CompositionVector& cv, gpu::DeviceBuffer& data) {
   const auto count = static_cast<std::uint32_t>(cv.size());
-  const std::size_t needed = sizeof(count) + count * (sizeof(std::uint32_t) +
-                                                      sizeof(float));
+  const std::size_t needed =
+      kPackedCvHeaderBytes + count * (sizeof(std::uint32_t) + sizeof(float));
   ROCKET_CHECK(data.size() >= needed, "CV exceeds slot size");
+  double norm2 = 0.0;
+  for (const auto v : cv.values) norm2 += static_cast<double>(v) * v;
   std::uint8_t* p = data.data();
+  std::memcpy(p, &norm2, sizeof(norm2));
+  p += sizeof(norm2);
   std::memcpy(p, &count, sizeof(count));
   p += sizeof(count);
   std::memcpy(p, cv.indices.data(), count * sizeof(std::uint32_t));
   p += count * sizeof(std::uint32_t);
   std::memcpy(p, cv.values.data(), count * sizeof(float));
-}
-
-CompositionVector unpack_cv(const gpu::DeviceBuffer& data) {
-  std::uint32_t count = 0;
-  ROCKET_CHECK(data.size() >= sizeof(count), "corrupt CV buffer");
-  std::memcpy(&count, data.data(), sizeof(count));
-  CompositionVector cv;
-  cv.indices.resize(count);
-  cv.values.resize(count);
-  const std::uint8_t* p = data.data() + sizeof(count);
-  std::memcpy(cv.indices.data(), p, count * sizeof(std::uint32_t));
-  p += count * sizeof(std::uint32_t);
-  std::memcpy(cv.values.data(), p, count * sizeof(float));
-  return cv;
 }
 
 }  // namespace
@@ -279,7 +275,37 @@ void BioinformaticsApplication::preprocess(runtime::ItemId,
 double BioinformaticsApplication::compare(
     runtime::ItemId, const gpu::DeviceBuffer& left_data, runtime::ItemId,
     const gpu::DeviceBuffer& right_data) const {
-  return cv_distance(unpack_cv(left_data), unpack_cv(right_data));
+  // cv_distance on the packed slots, read in place. Both cursors advance
+  // without a branch, and every step adds a product or +0.0. That keeps
+  // cv_correlation's bits: dot starts at +0.0, so it never becomes -0.0,
+  // and adding +0.0 leaves any other value unchanged.
+  const std::uint8_t* left = left_data.data();
+  const std::uint8_t* right = right_data.data();
+  const double na = *reinterpret_cast<const double*>(left);
+  const double nb = *reinterpret_cast<const double*>(right);
+  const std::uint32_t a_count =
+      *reinterpret_cast<const std::uint32_t*>(left + sizeof(double));
+  const std::uint32_t b_count =
+      *reinterpret_cast<const std::uint32_t*>(right + sizeof(double));
+  const auto* a_idx =
+      reinterpret_cast<const std::uint32_t*>(left + kPackedCvHeaderBytes);
+  const auto* b_idx =
+      reinterpret_cast<const std::uint32_t*>(right + kPackedCvHeaderBytes);
+  const auto* a_val = reinterpret_cast<const float*>(a_idx + a_count);
+  const auto* b_val = reinterpret_cast<const float*>(b_idx + b_count);
+  double dot = 0.0;
+  std::uint32_t i = 0, j = 0;
+  while (i < a_count && j < b_count) {
+    const std::uint32_t ai = a_idx[i];
+    const std::uint32_t bj = b_idx[j];
+    const double prod = static_cast<double>(a_val[i]) * b_val[j];
+    dot += ai == bj ? prod : 0.0;
+    i += ai <= bj;
+    j += bj <= ai;
+  }
+  const double denom = std::sqrt(na * nb);
+  const double correlation = denom > 0.0 ? dot / denom : 0.0;
+  return (1.0 - correlation) / 2.0;
 }
 
 Bytes BioinformaticsApplication::slot_size() const {
@@ -290,7 +316,7 @@ Bytes BioinformaticsApplication::slot_size() const {
   const std::uint64_t max_residues =
       static_cast<std::uint64_t>(cfg.proteins) * cfg.protein_len_max;
   const std::uint64_t cv_bytes =
-      sizeof(std::uint32_t) +
+      kPackedCvHeaderBytes +
       max_residues * (sizeof(std::uint32_t) + sizeof(float));
   return std::max<std::uint64_t>(max_residues, cv_bytes);
 }

@@ -85,10 +85,12 @@ class BioinformaticsApplication final : public runtime::Application {
   void parse(runtime::ItemId item, const ByteBuffer& file,
              runtime::HostBuffer& out) const override;
 
-  /// GPU: scan the residues and build the sparse CV in place.
+  /// GPU: scan the residues and build the sparse CV, with its squared
+  /// norm, in place.
   void preprocess(runtime::ItemId item, gpu::DeviceBuffer& data) const override;
 
-  /// GPU: CV distance D = (1 - C) / 2 (lower = more related).
+  /// GPU: CV distance D = (1 - C) / 2 (lower = more related), read in
+  /// place; bit-identical to cv_distance.
   double compare(runtime::ItemId left, const gpu::DeviceBuffer& left_data,
                  runtime::ItemId right,
                  const gpu::DeviceBuffer& right_data) const override;

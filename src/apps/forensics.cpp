@@ -38,12 +38,16 @@ std::vector<float> camera_fingerprint(std::uint32_t width,
   return k;
 }
 
-/// Header prepended to the parsed pixel plane so the device-side stages
-/// know the geometry without re-parsing the container.
+/// Header prepended to the pixel plane so the device-side stages know the
+/// geometry without re-parsing the container. `norm2` is the residual's
+/// squared norm, filled by preprocess (parse writes 0); the 16-byte header
+/// keeps the float plane behind it aligned for in-place reads.
 struct ParsedHeader {
   std::uint32_t width;
   std::uint32_t height;
+  double norm2;
 };
+static_assert(sizeof(ParsedHeader) == 16);
 
 }  // namespace
 
@@ -81,7 +85,7 @@ std::string ForensicsDataset::file_name(runtime::ItemId item) const {
 void ForensicsApplication::parse(runtime::ItemId, const ByteBuffer& file,
                                  runtime::HostBuffer& out) const {
   const Image image = decode_image(file);
-  const ParsedHeader header{image.width, image.height};
+  const ParsedHeader header{image.width, image.height, 0.0};
   out.resize(sizeof(header) + image.size() * sizeof(float));
   std::memcpy(out.data(), &header, sizeof(header));
   std::memcpy(out.data() + sizeof(header), image.pixels.data(),
@@ -97,6 +101,11 @@ void ForensicsApplication::preprocess(runtime::ItemId,
   std::memcpy(image.pixels.data(), data.data() + sizeof(header),
               image.size() * sizeof(float));
   const std::vector<float> residual = noise_residual(image);
+  // Same summation order as normalized_cross_correlation, so compare's
+  // score stays bit-identical to it.
+  header.norm2 = 0.0;
+  for (const float r : residual) header.norm2 += static_cast<double>(r) * r;
+  std::memcpy(data.data(), &header, sizeof(header));
   std::memcpy(data.data() + sizeof(header), residual.data(),
               residual.size() * sizeof(float));
 }
@@ -105,16 +114,22 @@ double ForensicsApplication::compare(runtime::ItemId,
                                      const gpu::DeviceBuffer& left_data,
                                      runtime::ItemId,
                                      const gpu::DeviceBuffer& right_data) const {
-  ParsedHeader header{};
-  std::memcpy(&header, left_data.data(), sizeof(header));
-  const std::size_t count =
-      static_cast<std::size_t>(header.width) * header.height;
-  std::vector<float> left(count), right(count);
-  std::memcpy(left.data(), left_data.data() + sizeof(header),
-              count * sizeof(float));
-  std::memcpy(right.data(), right_data.data() + sizeof(header),
-              count * sizeof(float));
-  return normalized_cross_correlation(left, right);
+  // Reads both slots in place: the norms come from preprocess, so the only
+  // per-pair work is one dot pass.
+  const auto& left = *reinterpret_cast<const ParsedHeader*>(left_data.data());
+  const auto& right =
+      *reinterpret_cast<const ParsedHeader*>(right_data.data());
+  const std::size_t count = static_cast<std::size_t>(left.width) * left.height;
+  const auto* a =
+      reinterpret_cast<const float*>(left_data.data() + sizeof(ParsedHeader));
+  const auto* b =
+      reinterpret_cast<const float*>(right_data.data() + sizeof(ParsedHeader));
+  double dot = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    dot += static_cast<double>(a[i]) * b[i];
+  }
+  const double denom = std::sqrt(left.norm2 * right.norm2);
+  return denom > 0.0 ? dot / denom : 0.0;
 }
 
 Bytes ForensicsApplication::slot_size() const {

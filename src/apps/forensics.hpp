@@ -71,10 +71,12 @@ class ForensicsApplication final : public runtime::Application {
   void parse(runtime::ItemId item, const ByteBuffer& file,
              runtime::HostBuffer& out) const override;
 
-  /// GPU: extract the normalised PRNU noise residual in place.
+  /// GPU: extract the normalised PRNU noise residual in place and store
+  /// its squared norm in the slot header.
   void preprocess(runtime::ItemId item, gpu::DeviceBuffer& data) const override;
 
-  /// GPU: normalised cross-correlation of two residuals.
+  /// GPU: normalised cross-correlation of two residuals, read in place;
+  /// bit-identical to normalized_cross_correlation.
   double compare(runtime::ItemId left, const gpu::DeviceBuffer& left_data,
                  runtime::ItemId right,
                  const gpu::DeviceBuffer& right_data) const override;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "apps/bioinformatics.hpp"
 #include "apps/forensics.hpp"
@@ -124,6 +126,42 @@ TEST(Forensics, SameCameraPairsCorrelateHigher) {
   EXPECT_GT(same.mean(), cross.mean() + 3 * cross.stddev())
       << "PRNU must separate same-camera pairs (same mean=" << same.mean()
       << " cross mean=" << cross.mean() << ")";
+}
+
+// The compare kernel reads the slot in place with the norms preprocess
+// stored there; its scores must equal the reference NCC of the residuals
+// exactly, not just closely.
+TEST(Forensics, CompareMatchesReferenceNccBitForBit) {
+  storage::MemoryStore store;
+  ForensicsConfig cfg;
+  cfg.cameras = 2;
+  cfg.images_per_camera = 3;
+  cfg.width = 64;
+  cfg.height = 48;
+  cfg.seed = 5;
+  ForensicsDataset dataset(cfg, store);
+  ForensicsApplication app(dataset);
+
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+  std::vector<gpu::DeviceBuffer> slots;
+  std::vector<std::vector<float>> residuals;
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    const ByteBuffer file = store.read(app.file_name(i));
+    runtime::HostBuffer parsed;
+    app.parse(i, file, parsed);
+    auto buffer = device.allocate(app.slot_size());
+    std::copy(parsed.begin(), parsed.end(), buffer.data());
+    app.preprocess(i, buffer);
+    slots.push_back(std::move(buffer));
+    residuals.push_back(noise_residual(decode_image(file)));
+  }
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    for (runtime::ItemId j = 0; j < dataset.item_count(); ++j) {
+      EXPECT_EQ(app.compare(i, slots[i], j, slots[j]),
+                normalized_cross_correlation(residuals[i], residuals[j]))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
 }
 
 // --- JSON ---
@@ -308,6 +346,80 @@ TEST(Bioinformatics, CladeStructureIsRecoverable) {
   }
   EXPECT_LT(sibling.mean(), distant.mean())
       << "sibling species must be closer than cross-root pairs";
+}
+
+/// Runs one residue string through the application's preprocess in a
+/// device slot of exactly slot_size() bytes.
+gpu::DeviceBuffer prepared_cv_slot(const BioinformaticsApplication& app,
+                                   gpu::VirtualDevice& device,
+                                   const std::string& residues) {
+  auto buffer = device.allocate(app.slot_size());
+  std::copy(residues.begin(), residues.end(), buffer.data());
+  app.preprocess(0, buffer);
+  return buffer;
+}
+
+TEST(Bioinformatics, CompareMatchesCvDistanceBitForBit) {
+  storage::MemoryStore store;
+  BioinformaticsConfig cfg;
+  cfg.species = 8;
+  cfg.proteins = 20;
+  cfg.mutation_rate = 0.05;
+  cfg.seed = 3;
+  BioinformaticsDataset dataset(cfg, store);
+  BioinformaticsApplication app(dataset);
+
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+  std::vector<gpu::DeviceBuffer> slots;
+  std::vector<CompositionVector> cvs;
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    runtime::HostBuffer parsed;
+    app.parse(i, store.read(app.file_name(i)), parsed);
+    const std::string residues(parsed.begin(), parsed.end());
+    slots.push_back(prepared_cv_slot(app, device, residues));
+    cvs.push_back(build_composition_vector(residues, cfg.k));
+  }
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    for (runtime::ItemId j = 0; j < dataset.item_count(); ++j) {
+      EXPECT_EQ(app.compare(i, slots[i], j, slots[j]),
+                cv_distance(cvs[i], cvs[j]))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(Bioinformatics, SlotSizeHoldsWorstCaseCv) {
+  storage::MemoryStore store;
+  BioinformaticsConfig cfg;
+  cfg.species = 2;
+  cfg.proteins = 3;
+  cfg.protein_len_min = 100;
+  cfg.protein_len_max = 100;
+  cfg.k = 3;
+  BioinformaticsDataset dataset(cfg, store);
+  BioinformaticsApplication app(dataset);
+
+  // The largest CV a proteome of this config can have: the maximum residue
+  // count with every 3-string distinct, so each one is a CV entry.
+  const std::size_t max_residues = cfg.proteins * cfg.protein_len_max;
+  std::string residues = "AA";
+  std::set<std::string> seen;
+  while (residues.size() < max_residues) {
+    const std::string tail = residues.substr(residues.size() - 2);
+    for (std::size_t c = residues.size();; ++c) {
+      const char next = "ACDEFGHIKLMNPQRSTVWY"[c % 20];
+      if (seen.insert(tail + next).second) {
+        residues += next;
+        break;
+      }
+    }
+  }
+  const CompositionVector cv = build_composition_vector(residues, cfg.k);
+  ASSERT_EQ(cv.size(), max_residues - cfg.k + 1);
+
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+  const gpu::DeviceBuffer worst = prepared_cv_slot(app, device, residues);
+  EXPECT_EQ(app.compare(0, worst, 0, worst), cv_distance(cv, cv));
 }
 
 TEST(Bioinformatics, CladeDepthOracle) {

@@ -25,6 +25,7 @@
 #include "cache/distributed_directory.hpp"
 #include "common/backoff.hpp"
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "dnc/pair_space.hpp"
 #include "mesh/checkpoint.hpp"
 #include "mesh/live_cluster.hpp"
@@ -719,6 +720,33 @@ TEST(Crc32, MatchesKnownAnswerAndChains) {
   std::uint32_t crc = crc32_update(0, "1234", 4);
   crc = crc32_update(crc, "56789", 5);
   EXPECT_EQ(crc, 0xCBF43926u);
+
+  // The sliced implementation against a bit-at-a-time reference: every
+  // length 0..64 at every start offset 0..7 (so the 8-byte blocks straddle
+  // every alignment), each also split at a random point and chained.
+  auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(0xC3C32);
+  std::vector<std::uint8_t> bytes(64 + 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      const std::uint32_t want = reference(p, len);
+      EXPECT_EQ(crc32(p, len), want) << "offset " << offset << " len " << len;
+      const std::size_t split = rng.uniform_index(len + 1);
+      EXPECT_EQ(crc32_update(crc32(p, split), p + split, len - split), want)
+          << "offset " << offset << " len " << len << " split " << split;
+    }
+  }
 }
 
 TEST(BackoffPolicy, DoublesCapsAndJittersDeterministically) {
