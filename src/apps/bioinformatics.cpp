@@ -1,9 +1,9 @@
 #include "apps/bioinformatics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/compress.hpp"
 #include "common/log.hpp"
@@ -15,11 +15,33 @@ namespace {
 
 constexpr char kAlphabet[] = "ACDEFGHIKLMNPQRSTVWY";
 constexpr std::uint32_t kAlphabetSize = 20;
+/// Longest k-string: the dense tables below hold 20^k entries each.
+constexpr std::uint32_t kMaxK = 5;
 
-std::uint32_t residue_code(char c) {
-  const char* pos = std::strchr(kAlphabet, c);
-  if (pos == nullptr) throw std::runtime_error("bad residue in FASTA");
-  return static_cast<std::uint32_t>(pos - kAlphabet);
+/// The base-20 code of each byte, kNotResidue for every byte outside the
+/// alphabet (NUL included).
+constexpr std::uint8_t kNotResidue = 0xFF;
+constexpr auto kResidueCodes = [] {
+  std::array<std::uint8_t, 256> codes{};
+  codes.fill(kNotResidue);
+  for (std::uint8_t c = 0; c < kAlphabetSize; ++c) {
+    codes[static_cast<unsigned char>(kAlphabet[c])] = c;
+  }
+  return codes;
+}();
+
+std::uint8_t residue_code(char c) {
+  const std::uint8_t code = kResidueCodes[static_cast<unsigned char>(c)];
+  if (code == kNotResidue) throw std::runtime_error("bad residue in FASTA");
+  return code;
+}
+
+/// 20^len: the number of distinct len-strings, and the size of a dense
+/// table indexed by their packed base-20 codes.
+std::uint32_t kstring_count(std::uint32_t len) {
+  std::uint32_t count = 1;
+  for (std::uint32_t i = 0; i < len; ++i) count *= kAlphabetSize;
+  return count;
 }
 
 /// Mutate a proteome in place: per-site substitution at `rate`.
@@ -67,6 +89,8 @@ void pack_cv(const CompositionVector& cv, gpu::DeviceBuffer& data) {
   p += sizeof(norm2);
   std::memcpy(p, &count, sizeof(count));
   p += sizeof(count);
+  // An empty CV's vectors may have a null data(), which memcpy must not get.
+  if (count == 0) return;
   std::memcpy(p, cv.indices.data(), count * sizeof(std::uint32_t));
   p += count * sizeof(std::uint32_t);
   std::memcpy(p, cv.values.data(), count * sizeof(float));
@@ -139,79 +163,62 @@ std::uint32_t BioinformaticsDataset::clade_depth(runtime::ItemId a,
   return depth;
 }
 
-CompositionVector build_composition_vector(const std::string& residues,
+CompositionVector build_composition_vector(std::string_view residues,
                                            std::uint32_t k) {
-  ROCKET_CHECK(k >= 2, "composition vectors require k >= 2");
+  ROCKET_CHECK(k >= 2 && k <= kMaxK,
+               "composition vectors require 2 <= k <= 5");
   const std::size_t n = residues.size();
   CompositionVector cv;
   if (n < k) return cv;
 
-  // Count k, k-1 and k-2 strings in one pass each, as packed base-20 codes.
-  std::unordered_map<std::uint32_t, std::uint32_t> count_k, count_k1, count_k2;
-  auto scan = [&](std::uint32_t len,
-                  std::unordered_map<std::uint32_t, std::uint32_t>& counts) {
-    if (n < len) return;
-    std::uint32_t code = 0;
-    std::uint32_t modulus = 1;
-    for (std::uint32_t i = 0; i + 1 < len; ++i) modulus *= kAlphabetSize;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t c = residue_code(residues[i]);
-      code = (code % modulus) * kAlphabetSize + c;
-      if (i + 1 >= len) ++counts[code];
+  // Count k, k-1 and k-2 strings into dense tables indexed by their packed
+  // base-20 codes.
+  std::vector<std::uint8_t> codes(n);
+  for (std::size_t i = 0; i < n; ++i) codes[i] = residue_code(residues[i]);
+  auto count = [&](std::uint32_t len) {
+    std::vector<std::uint32_t> counts(kstring_count(len), 0);
+    for (std::size_t i = 0; i + len <= n; ++i) {
+      std::uint32_t code = 0;
+      for (std::uint32_t j = 0; j < len; ++j) {
+        code = code * kAlphabetSize + codes[i + j];
+      }
+      ++counts[code];
     }
+    return counts;
   };
-  scan(k, count_k);
-  scan(k - 1, count_k1);
-  scan(k - 2, count_k2);
+  const auto count_k = count(k), count_k1 = count(k - 1),
+             count_k2 = count(k - 2);
 
   const auto total_k = static_cast<double>(n - k + 1);
   const auto total_k1 = static_cast<double>(n - (k - 1) + 1);
   const auto total_k2 = static_cast<double>(n - (k - 2) + 1);
 
-  std::uint32_t suffix_modulus = 1;  // 20^(k-1)
-  for (std::uint32_t i = 0; i + 1 < k; ++i) suffix_modulus *= kAlphabetSize;
-  std::uint32_t mid_modulus = suffix_modulus / kAlphabetSize;  // 20^(k-2)
+  const std::uint32_t suffix_modulus = kstring_count(k - 1);
+  const std::uint32_t mid_modulus = kstring_count(k - 2);
 
-  cv.indices.reserve(count_k.size());
-  cv.values.reserve(count_k.size());
-  for (const auto& [code, count] : count_k) {
+  // Codes are read in ascending order, so the CV comes out sorted. Every
+  // k-string that occurs has its prefix, suffix and middle occurring too,
+  // so none of their counts is zero.
+  const std::size_t max_entries = std::min(n - k + 1, count_k.size());
+  cv.indices.reserve(max_entries);
+  cv.values.reserve(max_entries);
+  for (std::uint32_t code = 0; code < count_k.size(); ++code) {
+    if (count_k[code] == 0) continue;
     // code = a1..ak packed base-20. Prefix = a1..a_{k-1}, suffix = a2..ak,
     // middle = a2..a_{k-1}.
     const std::uint32_t prefix = code / kAlphabetSize;
     const std::uint32_t suffix = code % suffix_modulus;
     const std::uint32_t middle = prefix % mid_modulus;
 
-    const double p = count / total_k;
-    const auto it_prefix = count_k1.find(prefix);
-    const auto it_suffix = count_k1.find(suffix);
-    const auto it_middle = count_k2.find(middle);
-    if (it_prefix == count_k1.end() || it_suffix == count_k1.end() ||
-        it_middle == count_k2.end() || it_middle->second == 0) {
-      continue;
-    }
-    const double p_prefix = it_prefix->second / total_k1;
-    const double p_suffix = it_suffix->second / total_k1;
-    const double p_middle = it_middle->second / total_k2;
+    const double p = count_k[code] / total_k;
+    const double p_prefix = count_k1[prefix] / total_k1;
+    const double p_suffix = count_k1[suffix] / total_k1;
+    const double p_middle = count_k2[middle] / total_k2;
     const double p0 = p_prefix * p_suffix / p_middle;
-    if (p0 <= 0.0) continue;
     cv.indices.push_back(code);
     cv.values.push_back(static_cast<float>((p - p0) / p0));
   }
-
-  // Sort by index for the merge-style dot product.
-  std::vector<std::size_t> order(cv.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return cv.indices[a] < cv.indices[b];
-  });
-  CompositionVector sorted;
-  sorted.indices.reserve(cv.size());
-  sorted.values.reserve(cv.size());
-  for (const auto idx : order) {
-    sorted.indices.push_back(cv.indices[idx]);
-    sorted.values.push_back(cv.values[idx]);
-  }
-  return sorted;
+  return cv;
 }
 
 double cv_correlation(const CompositionVector& a, const CompositionVector& b) {
@@ -259,26 +266,31 @@ void BioinformaticsApplication::parse(runtime::ItemId, const ByteBuffer& file,
 
 void BioinformaticsApplication::preprocess(runtime::ItemId,
                                            gpu::DeviceBuffer& data) const {
-  // The buffer currently holds the residue string (parse output); replace
-  // it with the packed CV.
-  const std::string residues(reinterpret_cast<const char*>(data.data()),
-                             data.size());
-  // Residue data is padded up to the slot; trim trailing NULs.
-  const auto end = residues.find_last_not_of('\0');
-  const std::string trimmed =
-      end == std::string::npos ? std::string() : residues.substr(0, end + 1);
+  // The buffer currently holds the residue string (parse output), padded
+  // up to the slot with NULs; replace it with the packed CV.
+  std::string_view residues(reinterpret_cast<const char*>(data.data()),
+                            data.size());
+  // npos + 1 == 0, so an all-NUL buffer trims to an empty string.
+  residues = residues.substr(0, residues.find_last_not_of('\0') + 1);
   const CompositionVector cv =
-      build_composition_vector(trimmed, dataset_->config().k);
+      build_composition_vector(residues, dataset_->config().k);
   pack_cv(cv, data);
 }
 
 double BioinformaticsApplication::compare(
     runtime::ItemId, const gpu::DeviceBuffer& left_data, runtime::ItemId,
     const gpu::DeviceBuffer& right_data) const {
-  // cv_distance on the packed slots, read in place. Both cursors advance
-  // without a branch, and every step adds a product or +0.0. That keeps
-  // cv_correlation's bits: dot starts at +0.0, so it never becomes -0.0,
-  // and adding +0.0 leaves any other value unchanged.
+  // cv_distance on the packed slots, read in place. The left CV is
+  // scattered into a dense per-thread table of every k-string, and the
+  // right CV gathers from it in index order, so matches are added in
+  // cv_correlation's order. Every other entry adds 0.0f * val = ±0.0,
+  // which keeps the bits: dot starts at +0.0, so it never becomes -0.0,
+  // and adding ±0.0 leaves any other value unchanged. The scattered
+  // entries are zeroed again, so the table is all zeros between calls.
+  thread_local std::vector<float> table;
+  const std::uint32_t table_size = kstring_count(dataset_->config().k);
+  if (table.size() < table_size) table.resize(table_size, 0.0f);
+
   const std::uint8_t* left = left_data.data();
   const std::uint8_t* right = right_data.data();
   const double na = *reinterpret_cast<const double*>(left);
@@ -293,16 +305,12 @@ double BioinformaticsApplication::compare(
       reinterpret_cast<const std::uint32_t*>(right + kPackedCvHeaderBytes);
   const auto* a_val = reinterpret_cast<const float*>(a_idx + a_count);
   const auto* b_val = reinterpret_cast<const float*>(b_idx + b_count);
+  for (std::uint32_t i = 0; i < a_count; ++i) table[a_idx[i]] = a_val[i];
   double dot = 0.0;
-  std::uint32_t i = 0, j = 0;
-  while (i < a_count && j < b_count) {
-    const std::uint32_t ai = a_idx[i];
-    const std::uint32_t bj = b_idx[j];
-    const double prod = static_cast<double>(a_val[i]) * b_val[j];
-    dot += ai == bj ? prod : 0.0;
-    i += ai <= bj;
-    j += bj <= ai;
+  for (std::uint32_t j = 0; j < b_count; ++j) {
+    dot += static_cast<double>(table[b_idx[j]]) * b_val[j];
   }
+  for (std::uint32_t i = 0; i < a_count; ++i) table[a_idx[i]] = 0.0f;
   const double denom = std::sqrt(na * nb);
   const double correlation = denom > 0.0 ? dot / denom : 0.0;
   return (1.0 - correlation) / 2.0;

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/application.hpp"
@@ -34,7 +35,7 @@ struct BioinformaticsConfig {
   std::uint32_t protein_len_min = 120;
   std::uint32_t protein_len_max = 360;
   double mutation_rate = 0.02;       // substitutions per site per branch
-  std::uint32_t k = 3;               // k-string length
+  std::uint32_t k = 3;               // k-string length, 2..5
   std::uint64_t seed = 1;
 };
 
@@ -62,8 +63,9 @@ struct CompositionVector {
   std::size_t size() const { return indices.size(); }
 };
 
-/// Build the k-string CV of a residue sequence (Qi et al. formulas).
-CompositionVector build_composition_vector(const std::string& residues,
+/// Build the k-string CV of a residue sequence (Qi et al. formulas),
+/// for 2 <= k <= 5. Throws on a byte outside the 20-residue alphabet.
+CompositionVector build_composition_vector(std::string_view residues,
                                            std::uint32_t k);
 
 /// Cosine correlation C of two sparse CVs; distance is (1 - C) / 2.

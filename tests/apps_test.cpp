@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "apps/bioinformatics.hpp"
 #include "apps/forensics.hpp"
 #include "apps/image.hpp"
 #include "apps/json.hpp"
 #include "apps/microscopy.hpp"
+#include "common/log.hpp"
 #include "common/stats.hpp"
 
 namespace rocket::apps {
@@ -245,6 +251,11 @@ TEST(Microscopy, DatasetRoundTripThroughApplication) {
   storage::MemoryStore store;
   MicroscopyConfig cfg;
   cfg.particles = 4;
+  // Clouds of 8-16 points: a compare costs O(points²) exp calls per
+  // optimiser step, and the round trip does not need the default ~500.
+  cfg.binding_sites = 8;
+  cfg.localizations_per_site_min = 1;
+  cfg.localizations_per_site_max = 2;
   cfg.seed = 5;
   MicroscopyDataset dataset(cfg, store);
   MicroscopyApplication app(dataset);
@@ -266,6 +277,129 @@ TEST(Microscopy, DatasetRoundTripThroughApplication) {
 }
 
 // --- bioinformatics ---
+
+// The hash-map CV build that preceded the dense-table one, kept verbatim
+// as the reference for its bits.
+namespace reference {
+
+constexpr char kAlphabet[] = "ACDEFGHIKLMNPQRSTVWY";
+constexpr std::uint32_t kAlphabetSize = 20;
+
+std::uint32_t residue_code(char c) {
+  const char* pos = std::strchr(kAlphabet, c);
+  if (pos == nullptr) throw std::runtime_error("bad residue in FASTA");
+  return static_cast<std::uint32_t>(pos - kAlphabet);
+}
+
+CompositionVector build_composition_vector(const std::string& residues,
+                                           std::uint32_t k) {
+  ROCKET_CHECK(k >= 2, "composition vectors require k >= 2");
+  const std::size_t n = residues.size();
+  CompositionVector cv;
+  if (n < k) return cv;
+
+  // Count k, k-1 and k-2 strings in one pass each, as packed base-20 codes.
+  std::unordered_map<std::uint32_t, std::uint32_t> count_k, count_k1, count_k2;
+  auto scan = [&](std::uint32_t len,
+                  std::unordered_map<std::uint32_t, std::uint32_t>& counts) {
+    if (n < len) return;
+    std::uint32_t code = 0;
+    std::uint32_t modulus = 1;
+    for (std::uint32_t i = 0; i + 1 < len; ++i) modulus *= kAlphabetSize;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t c = residue_code(residues[i]);
+      code = (code % modulus) * kAlphabetSize + c;
+      if (i + 1 >= len) ++counts[code];
+    }
+  };
+  scan(k, count_k);
+  scan(k - 1, count_k1);
+  scan(k - 2, count_k2);
+
+  const auto total_k = static_cast<double>(n - k + 1);
+  const auto total_k1 = static_cast<double>(n - (k - 1) + 1);
+  const auto total_k2 = static_cast<double>(n - (k - 2) + 1);
+
+  std::uint32_t suffix_modulus = 1;  // 20^(k-1)
+  for (std::uint32_t i = 0; i + 1 < k; ++i) suffix_modulus *= kAlphabetSize;
+  std::uint32_t mid_modulus = suffix_modulus / kAlphabetSize;  // 20^(k-2)
+
+  cv.indices.reserve(count_k.size());
+  cv.values.reserve(count_k.size());
+  for (const auto& [code, count] : count_k) {
+    // code = a1..ak packed base-20. Prefix = a1..a_{k-1}, suffix = a2..ak,
+    // middle = a2..a_{k-1}.
+    const std::uint32_t prefix = code / kAlphabetSize;
+    const std::uint32_t suffix = code % suffix_modulus;
+    const std::uint32_t middle = prefix % mid_modulus;
+
+    const double p = count / total_k;
+    const auto it_prefix = count_k1.find(prefix);
+    const auto it_suffix = count_k1.find(suffix);
+    const auto it_middle = count_k2.find(middle);
+    if (it_prefix == count_k1.end() || it_suffix == count_k1.end() ||
+        it_middle == count_k2.end() || it_middle->second == 0) {
+      continue;
+    }
+    const double p_prefix = it_prefix->second / total_k1;
+    const double p_suffix = it_suffix->second / total_k1;
+    const double p_middle = it_middle->second / total_k2;
+    const double p0 = p_prefix * p_suffix / p_middle;
+    if (p0 <= 0.0) continue;
+    cv.indices.push_back(code);
+    cv.values.push_back(static_cast<float>((p - p0) / p0));
+  }
+
+  // Sort by index for the merge-style dot product.
+  std::vector<std::size_t> order(cv.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cv.indices[a] < cv.indices[b];
+  });
+  CompositionVector sorted;
+  sorted.indices.reserve(cv.size());
+  sorted.values.reserve(cv.size());
+  for (const auto idx : order) {
+    sorted.indices.push_back(cv.indices[idx]);
+    sorted.values.push_back(cv.values[idx]);
+  }
+  return sorted;
+}
+
+}  // namespace reference
+
+/// Asserts that the k = 3 CV of `residues` has the reference's indices and
+/// the reference's value bits.
+void expect_reference_cv(const std::string& residues) {
+  const CompositionVector cv = build_composition_vector(residues, 3);
+  const CompositionVector ref =
+      reference::build_composition_vector(residues, 3);
+  ASSERT_EQ(cv.indices, ref.indices);
+  ASSERT_EQ(cv.values.size(), ref.values.size());
+  for (std::size_t i = 0; i < cv.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(cv.values[i]),
+              std::bit_cast<std::uint32_t>(ref.values[i]))
+        << "entry " << i << " (index " << cv.indices[i] << ")";
+  }
+}
+
+/// A residue string of `length` in which every 3-string is distinct, so
+/// each one is a CV entry: the largest CV a string of that length has.
+std::string all_distinct_3strings(std::size_t length) {
+  std::string residues = "AA";
+  std::set<std::string> seen;
+  while (residues.size() < length) {
+    const std::string tail = residues.substr(residues.size() - 2);
+    for (std::size_t c = residues.size();; ++c) {
+      const char next = "ACDEFGHIKLMNPQRSTVWY"[c % 20];
+      if (seen.insert(tail + next).second) {
+        residues += next;
+        break;
+      }
+    }
+  }
+  return residues;
+}
 
 TEST(Bioinformatics, CompositionVectorProperties) {
   Rng rng(9);
@@ -400,26 +534,117 @@ TEST(Bioinformatics, SlotSizeHoldsWorstCaseCv) {
   BioinformaticsApplication app(dataset);
 
   // The largest CV a proteome of this config can have: the maximum residue
-  // count with every 3-string distinct, so each one is a CV entry.
+  // count with every 3-string distinct.
   const std::size_t max_residues = cfg.proteins * cfg.protein_len_max;
-  std::string residues = "AA";
-  std::set<std::string> seen;
-  while (residues.size() < max_residues) {
-    const std::string tail = residues.substr(residues.size() - 2);
-    for (std::size_t c = residues.size();; ++c) {
-      const char next = "ACDEFGHIKLMNPQRSTVWY"[c % 20];
-      if (seen.insert(tail + next).second) {
-        residues += next;
-        break;
-      }
-    }
-  }
+  const std::string residues = all_distinct_3strings(max_residues);
   const CompositionVector cv = build_composition_vector(residues, cfg.k);
   ASSERT_EQ(cv.size(), max_residues - cfg.k + 1);
 
   gpu::VirtualDevice device(0, gpu::titanx_maxwell());
   const gpu::DeviceBuffer worst = prepared_cv_slot(app, device, residues);
   EXPECT_EQ(app.compare(0, worst, 0, worst), cv_distance(cv, cv));
+}
+
+TEST(Bioinformatics, BuildMatchesReferenceBitForBit) {
+  // Every species of a dataset at the benchmark's proteome shape.
+  storage::MemoryStore store;
+  BioinformaticsConfig cfg;
+  cfg.species = 128;
+  cfg.proteins = 6;
+  cfg.protein_len_min = 220;
+  cfg.protein_len_max = 260;
+  BioinformaticsDataset dataset(cfg, store);
+  BioinformaticsApplication app(dataset);
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    runtime::HostBuffer parsed;
+    app.parse(i, store.read(app.file_name(i)), parsed);
+    SCOPED_TRACE("species " + std::to_string(i));
+    expect_reference_cv(std::string(parsed.begin(), parsed.end()));
+  }
+
+  // Edge cases: empty, n < k, n == k, a homopolymer, and the largest CV
+  // of the worst-case test below.
+  expect_reference_cv("");
+  expect_reference_cv("AC");
+  expect_reference_cv("ACD");
+  expect_reference_cv(std::string(500, 'W'));
+  expect_reference_cv(all_distinct_3strings(300));
+}
+
+TEST(Bioinformatics, RejectsEmbeddedNulResidue) {
+  EXPECT_THROW(build_composition_vector(std::string("ACD\0FG", 6), 3),
+               std::runtime_error);
+  for (const char bad : {'B', 'a', '\n', '\xff'}) {
+    EXPECT_THROW(build_composition_vector(std::string("ACDE") + bad, 3),
+                 std::runtime_error)
+        << "byte " << static_cast<int>(static_cast<unsigned char>(bad));
+  }
+  EXPECT_EQ(build_composition_vector("ACDEFGHIKLMNPQRSTVWY", 3).size(), 18u);
+}
+
+TEST(Bioinformatics, PairCvUsesZeroOrderModel) {
+  // For k = 2 the (k-2)-string is empty and occurs at every position, so
+  // p0(a1 a2) = p(a1) p(a2). In "CDCD", p(C) = p(D) = 1/2, CD occurs twice
+  // and DC once.
+  const CompositionVector cv = build_composition_vector("CDCD", 2);
+  ASSERT_EQ(cv.indices, (std::vector<std::uint32_t>{1 * 20 + 2, 2 * 20 + 1}));
+  EXPECT_FLOAT_EQ(cv.values[0], (2.0 / 3 - 0.25) / 0.25);
+  EXPECT_FLOAT_EQ(cv.values[1], (1.0 / 3 - 0.25) / 0.25);
+  // Dense tables bound k.
+  EXPECT_DEATH(build_composition_vector("ACDEFG", 1), "2 <= k <= 5");
+  EXPECT_DEATH(build_composition_vector("ACDEFG", 6), "2 <= k <= 5");
+}
+
+TEST(Bioinformatics, CompareLeavesNoStateBetweenPairs) {
+  // compare scatters its left CV into a table shared by every call on the
+  // thread. Run the pairs in a shuffled order in which the left item
+  // changes on every call, with self-pairs and a CV of no entries mixed
+  // in: each score must still be exactly cv_distance.
+  storage::MemoryStore store;
+  BioinformaticsConfig cfg;
+  cfg.species = 8;
+  cfg.proteins = 6;
+  cfg.mutation_rate = 0.05;
+  cfg.seed = 11;
+  BioinformaticsDataset dataset(cfg, store);
+  BioinformaticsApplication app(dataset);
+
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+  std::vector<gpu::DeviceBuffer> slots;
+  std::vector<CompositionVector> cvs;
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    runtime::HostBuffer parsed;
+    app.parse(i, store.read(app.file_name(i)), parsed);
+    const std::string residues(parsed.begin(), parsed.end());
+    slots.push_back(prepared_cv_slot(app, device, residues));
+    cvs.push_back(build_composition_vector(residues, cfg.k));
+  }
+  slots.push_back(prepared_cv_slot(app, device, "AC"));
+  cvs.push_back(build_composition_vector("AC", cfg.k));
+  ASSERT_EQ(cvs.back().size(), 0u);
+
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (std::size_t j = 0; j < slots.size(); ++j) pairs.emplace_back(i, j);
+  }
+  Rng rng(17);
+  rng.shuffle(pairs);
+  for (std::size_t t = 1; t < pairs.size(); ++t) {
+    for (std::size_t u = t + 1;
+         u < pairs.size() && pairs[t].first == pairs[t - 1].first; ++u) {
+      std::swap(pairs[t], pairs[u]);
+    }
+  }
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const auto [i, j] = pairs[t];
+    if (t > 0) {
+      ASSERT_NE(i, pairs[t - 1].first) << "call " << t;
+    }
+    EXPECT_EQ(app.compare(static_cast<runtime::ItemId>(i), slots[i],
+                          static_cast<runtime::ItemId>(j), slots[j]),
+              cv_distance(cvs[i], cvs[j]))
+        << "call " << t << ", pair (" << i << ", " << j << ")";
+  }
 }
 
 TEST(Bioinformatics, CladeDepthOracle) {
