@@ -5,12 +5,10 @@
 //
 // After the registered benchmarks, main() measures MpmcQueue single-op vs
 // bulk-op throughput, the mesh peer-fetch path vs the storage load it
-// replaces, sharded vs single-lock cache contention, the look-ahead
-// prefetch pipeline vs today's schedule on a load-bound workload, the
-// leaf-traversal orders' load counts, and the telemetry and tracing
-// overheads of the live runtime, and writes the numbers to
+// replaces, sharded vs single-lock cache contention, and the telemetry
+// and tracing overheads of the live runtime, and writes the numbers to
 // BENCH_micro.json (machine-readable, for the perf trajectory; CI gates
-// the contention, prefetch, traversal, telemetry and tracing rows).
+// the contention, telemetry and tracing rows).
 
 #include <benchmark/benchmark.h>
 
@@ -201,12 +199,7 @@ BENCHMARK(BM_LognormalSample);
 /// dominate.
 class SyntheticApp final : public runtime::Application {
  public:
-  /// `compare_passes` scales the kernel cost: the prefetch head-to-head
-  /// needs compute roughly balanced against the throttled store's load
-  /// time so the overlap is visible in wall clock.
-  SyntheticApp(std::uint32_t n, storage::MemoryStore& store,
-               int compare_passes = 1)
-      : n_(n), passes_(compare_passes) {
+  SyntheticApp(std::uint32_t n, storage::MemoryStore& store) : n_(n) {
     for (std::uint32_t i = 0; i < n_; ++i) {
       ByteBuffer bytes(kItemBytes);
       for (std::size_t b = 0; b < bytes.size(); ++b) {
@@ -229,11 +222,9 @@ class SyntheticApp final : public runtime::Application {
                  runtime::ItemId,
                  const gpu::DeviceBuffer& right) const override {
     std::uint64_t acc = 0;
-    for (int p = 0; p < passes_; ++p) {
-      for (std::size_t b = 0; b < kItemBytes; b += 8) {
-        acc += static_cast<std::uint64_t>(left.data()[b]) *
-               static_cast<std::uint64_t>(right.data()[b] + 1 + p);
-      }
+    for (std::size_t b = 0; b < kItemBytes; b += 8) {
+      acc += static_cast<std::uint64_t>(left.data()[b]) *
+             static_cast<std::uint64_t>(right.data()[b] + 1);
     }
     return static_cast<double>(acc);
   }
@@ -243,7 +234,6 @@ class SyntheticApp final : public runtime::Application {
 
  private:
   std::uint32_t n_;
-  int passes_ = 1;
 };
 
 struct QueueThroughput {
@@ -475,85 +465,6 @@ ContentionResult measure_cache_contention(unsigned nthreads) {
   return out;
 }
 
-// --- prefetch pipeline + traversal order ----------------------------------
-
-struct PrefetchVariant {
-  double pairs_per_sec = 0.0;
-  double wall_seconds = 0.0;
-  double stall_seconds = 0.0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t loads = 0;
-};
-
-struct PrefetchResult {
-  PrefetchVariant off;  // prefetch_tiles = 0 — today's schedule
-  PrefetchVariant on;   // prefetch_tiles = 7 — look-ahead pipeline
-  double speedup = 0.0;
-};
-
-/// Shared load-bound runtime configuration: device cache half the item
-/// population, host cache off, every miss pays the throttled store's
-/// 250 us latency on the single I/O thread, and ONE compute slot per
-/// device (job_limit 1) so without a prefetch window loads and kernels
-/// strictly alternate. Compute passes are tuned so kernel time roughly
-/// balances load time — the regime where overlap pays.
-runtime::NodeRuntime::Config load_bound_config() {
-  runtime::NodeRuntime::Config cfg;
-  cfg.devices = {gpu::titanx_maxwell()};
-  cfg.host_cache_capacity = 0;
-  cfg.device_cache_capacity = 64 * SyntheticApp::kItemBytes;
-  cfg.cpu_threads = 2;
-  cfg.cache_shards = 1;
-  cfg.job_limit_per_worker = 1;
-  cfg.max_leaf_pairs = 16;
-  cfg.leaf_order = dnc::Traversal::kHilbert;
-  return cfg;
-}
-
-constexpr std::uint32_t kPrefetchItems = 128;
-constexpr int kPrefetchComparePasses = 50;
-constexpr std::uint64_t kStoreLatencyUs = 250;
-constexpr std::uint32_t kPrefetchWindow = 7;
-
-PrefetchVariant run_prefetch_variant(std::uint32_t window) {
-  storage::MemoryStore mem;
-  SyntheticApp app(kPrefetchItems, mem, kPrefetchComparePasses);
-  storage::ThrottledStore store(mem, kStoreLatencyUs);
-  auto cfg = load_bound_config();
-  cfg.prefetch_tiles = window;
-  runtime::NodeRuntime rt(cfg);
-  const auto report = rt.run(app, store, [](const runtime::PairResult&) {});
-  PrefetchVariant out;
-  out.wall_seconds = report.wall_seconds;
-  out.pairs_per_sec =
-      report.wall_seconds > 0
-          ? static_cast<double>(report.pairs) / report.wall_seconds
-          : 0.0;
-  out.stall_seconds = report.stall_seconds;
-  out.prefetch_hits = report.prefetch_hits;
-  out.loads = report.loads;
-  return out;
-}
-
-/// Head-to-head of the look-ahead pipeline against today's schedule on a
-/// load-bound workload. Best of two trials per variant (the CI gate
-/// compares the numbers directly and a single trial is at the scheduler's
-/// mercy); the kept trial's stall/hit counters travel with it.
-PrefetchResult measure_prefetch_overlap() {
-  const auto best_of_two = [](std::uint32_t window) {
-    const PrefetchVariant first = run_prefetch_variant(window);
-    const PrefetchVariant second = run_prefetch_variant(window);
-    return first.pairs_per_sec >= second.pairs_per_sec ? first : second;
-  };
-  PrefetchResult out;
-  out.off = best_of_two(0);
-  out.on = best_of_two(kPrefetchWindow);
-  out.speedup = out.off.pairs_per_sec > 0
-                    ? out.on.pairs_per_sec / out.off.pairs_per_sec
-                    : 0.0;
-  return out;
-}
-
 // --- instrumentation overhead ---------------------------------------------
 
 struct OverheadResult {
@@ -660,43 +571,12 @@ OverheadResult measure_tracing_overhead() {
   });
 }
 
-struct TraversalResult {
-  std::uint64_t depth_first_loads = 0;
-  std::uint64_t hilbert_loads = 0;
-  std::uint64_t row_major_loads = 0;
-};
-
-/// Load-pipeline executions per leaf traversal order on the same
-/// cache-starved workload (no store throttle — only the load count
-/// matters, and a serial schedule keeps it deterministic). Row-major
-/// re-walks the full column span every tile row; the curve orders keep
-/// consecutive tiles on shared rows/columns, so the small cache absorbs
-/// most transitions.
-TraversalResult measure_traversal_loads() {
-  const auto loads_for = [](dnc::Traversal order) {
-    storage::MemoryStore store;
-    SyntheticApp app(kPrefetchItems, store);
-    auto cfg = load_bound_config();
-    cfg.cpu_threads = 1;
-    cfg.leaf_order = order;
-    runtime::NodeRuntime rt(cfg);
-    return rt.run(app, store, [](const runtime::PairResult&) {}).loads;
-  };
-  TraversalResult out;
-  out.depth_first_loads = loads_for(dnc::Traversal::kDepthFirst);
-  out.hilbert_loads = loads_for(dnc::Traversal::kHilbert);
-  out.row_major_loads = loads_for(dnc::Traversal::kRowMajor);
-  return out;
-}
-
 /// Run the live-runtime measurements and write BENCH_micro.json.
 void run_measurements_and_emit_json() {
   const QueueThroughput queue = measure_queue_throughput();
   const PeerFetchResult peer = measure_peer_fetch_vs_storage();
   const std::vector<ContentionResult> contention = {
       measure_cache_contention(2), measure_cache_contention(8)};
-  const PrefetchResult prefetch = measure_prefetch_overlap();
-  const TraversalResult traversal = measure_traversal_loads();
   const OverheadResult telemetry = measure_telemetry_overhead();
   const OverheadResult tracing = measure_tracing_overhead();
 
@@ -715,19 +595,6 @@ void run_measurements_and_emit_json() {
         c.threads, c.sharded_pairs_per_sec, c.single_lock_pairs_per_sec,
         c.speedup);
   }
-  std::printf(
-      "prefetch pipeline (load-bound, %u us store): off %.0f pairs/s "
-      "stall %.3fs | on(W=%u) %.0f pairs/s stall %.3fs, %" PRIu64
-      " prefetch hits (%.2fx)\n",
-      static_cast<unsigned>(kStoreLatencyUs), prefetch.off.pairs_per_sec,
-      prefetch.off.stall_seconds, kPrefetchWindow,
-      prefetch.on.pairs_per_sec, prefetch.on.stall_seconds,
-      prefetch.on.prefetch_hits, prefetch.speedup);
-  std::printf(
-      "traversal loads (64-slot cache, %u items): hilbert %" PRIu64
-      ", depth-first %" PRIu64 ", row-major %" PRIu64 "\n",
-      kPrefetchItems, traversal.hilbert_loads, traversal.depth_first_loads,
-      traversal.row_major_loads);
   std::printf(
       "telemetry overhead: on %.0f pairs/s vs off %.0f pairs/s "
       "(ratio %.3f; gate >= 0.98)\n",
@@ -758,29 +625,6 @@ void run_measurements_and_emit_json() {
                peer.peer_fetch_us > 0
                    ? peer.storage_load_us / peer.peer_fetch_us
                    : 0.0);
-  std::fprintf(
-      f,
-      "  \"prefetch\": {\"store_latency_us\": %u, \"window\": %u,\n"
-      "    \"off\": {\"pairs_per_sec\": %.1f, \"wall_seconds\": %.6f, "
-      "\"stall_seconds\": %.6f, \"prefetch_hits\": %" PRIu64
-      ", \"loads\": %" PRIu64 "},\n"
-      "    \"on\": {\"pairs_per_sec\": %.1f, \"wall_seconds\": %.6f, "
-      "\"stall_seconds\": %.6f, \"prefetch_hits\": %" PRIu64
-      ", \"loads\": %" PRIu64 "},\n"
-      "    \"speedup\": %.3f},\n",
-      static_cast<unsigned>(kStoreLatencyUs), kPrefetchWindow,
-      prefetch.off.pairs_per_sec,
-      prefetch.off.wall_seconds, prefetch.off.stall_seconds,
-      prefetch.off.prefetch_hits, prefetch.off.loads,
-      prefetch.on.pairs_per_sec, prefetch.on.wall_seconds,
-      prefetch.on.stall_seconds, prefetch.on.prefetch_hits,
-      prefetch.on.loads, prefetch.speedup);
-  std::fprintf(f,
-               "  \"traversal\": {\"hilbert_loads\": %" PRIu64
-               ", \"depth_first_loads\": %" PRIu64
-               ", \"row_major_loads\": %" PRIu64 "},\n",
-               traversal.hilbert_loads, traversal.depth_first_loads,
-               traversal.row_major_loads);
   std::fprintf(f,
                "  \"telemetry\": {\"on_pairs_per_sec\": %.1f, "
                "\"off_pairs_per_sec\": %.1f, \"ratio\": %.4f},\n",

@@ -9,7 +9,6 @@
 //
 //   $ ./live_mesh_demo [--nodes 4] [--cameras 4] [--images 8]
 //                      [--cache-shards 0]   (0 = auto: min(16, hw threads))
-//                      [--prefetch 0]       (look-ahead tiles per device)
 //                      [--kill-node N]      (chaos: kill node N mid-run;
 //                                            N >= 1, or 0 == --kill-master)
 //                      [--kill-master]      (chaos: kill node 0 mid-run; the
@@ -166,8 +165,6 @@ int main(int argc, char** argv) {
   mesh_cfg.node.cpu_threads = 2;
   mesh_cfg.node.cache_shards =
       static_cast<std::uint32_t>(opts.get_int("cache-shards", 0));
-  mesh_cfg.node.prefetch_tiles =
-      static_cast<std::uint32_t>(opts.get_int("prefetch", 0));
 
   // Telemetry surfaces (DESIGN.md §13).
   const bool live_stats = opts.get_bool("live-stats", false);
@@ -327,13 +324,11 @@ int main(int argc, char** argv) {
 
   rocket::TableWriter node_table("per-node execution");
   node_table.set_header({"node", "pairs", "loads", "peer_loads",
-                         "remote_steals", "busy%", "stall_s",
-                         "prefetch_hits"});
+                         "remote_steals", "busy%", "stall_s"});
   for (std::size_t i = 0; i < report.nodes.size(); ++i) {
     const auto& nr = report.nodes[i];
     // Transfer/compute overlap detail (§4.3): GPU busy share of the wall
-    // clock, the load-stall remainder, and the tiles whose loads the
-    // prefetch window fully hid behind kernels.
+    // clock and the load-stall remainder.
     double busy = 0.0, stall = 0.0;
     for (const double b : nr.device_busy_seconds) busy += b;
     for (const double s : nr.device_stall_seconds) stall += s;
@@ -350,9 +345,7 @@ int main(int argc, char** argv) {
                         rocket::TableWriter::integer(
                             static_cast<long long>(nr.steal.remote_steals)),
                         rocket::TableWriter::num(busy_pct, 1),
-                        rocket::TableWriter::num(stall, 3),
-                        rocket::TableWriter::integer(
-                            static_cast<long long>(nr.prefetch_hits))});
+                        rocket::TableWriter::num(stall, 3)});
   }
   std::printf("\n%s\n", node_table.render().c_str());
 
@@ -407,11 +400,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.host_cache.fills),
               static_cast<unsigned long long>(report.host_cache.evictions),
               static_cast<unsigned long long>(report.cache_fast_hits));
-  std::printf("overlap: %.3fs device load-stall across the cluster, "
-              "%llu prefetch hits (prefetch window: %u tiles/device)\n",
-              report.stall_seconds,
-              static_cast<unsigned long long>(report.prefetch_hits),
-              mesh_cfg.node.prefetch_tiles);
+  std::printf("overlap: %.3fs device load-stall across the cluster\n",
+              report.stall_seconds);
   if (report.node_deaths > 0) {
     std::printf("failover: %llu node death(s), %llu regions re-executed, "
                 "%llu duplicate results dropped, %llu fetch retries\n",

@@ -221,24 +221,21 @@ SlotCache::Callback ShardedSlotCache::wrap_callback(Callback cb,
   };
 }
 
-ShardedSlotCache::Grant ShardedSlotCache::acquire(ItemId item, Callback cb,
-                                                  AllocPriority priority) {
+ShardedSlotCache::Grant ShardedSlotCache::acquire(ItemId item, Callback cb) {
   if (const auto pinned = fast_pin(item)) {
     bump_relaxed(fast_hits_by_slot_[*pinned]);
     return Grant{Outcome::kHit, *pinned};
   }
   Shard& shard = shard_for_item(item);
   std::scoped_lock lock(shard.mutex);
-  Grant g = shard.cache->acquire(item, wrap_callback(std::move(cb),
-                                                     shard.base),
-                                 priority);
+  Grant g =
+      shard.cache->acquire(item, wrap_callback(std::move(cb), shard.base));
   if (g.slot != kInvalidSlot) g.slot += shard.base;
   return g;
 }
 
 std::vector<ShardedSlotCache::Grant> ShardedSlotCache::acquire_batch(
-    const std::vector<ItemId>& items, BatchCallback cb,
-    AllocPriority priority) {
+    const std::vector<ItemId>& items, BatchCallback cb) {
   std::vector<Grant> grants(items.size(),
                             Grant{Outcome::kQueued, kInvalidSlot});
   auto shared_cb =
@@ -276,8 +273,7 @@ std::vector<ShardedSlotCache::Grant> ShardedSlotCache::acquire_batch(
       };
     }
     std::scoped_lock lock(shard.mutex);
-    auto sub_grants =
-        shard.cache->acquire_batch(sub, std::move(sub_cb), priority);
+    auto sub_grants = shard.cache->acquire_batch(sub, std::move(sub_cb));
     for (std::size_t j = 0; j < sub_grants.size(); ++j) {
       Grant g = sub_grants[j];
       if (g.slot != kInvalidSlot) g.slot += shard.base;

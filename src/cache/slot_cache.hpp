@@ -80,15 +80,6 @@ class SlotCache {
 
   enum class Status : std::uint8_t { kEmpty, kWrite, kRead };
 
-  /// Allocation class of an acquire (the look-ahead pipeline's priority
-  /// lever). Items a tile is *computing on* are protected by their read
-  /// pins — no priority needed there; what prefetch must not do is starve
-  /// a compute tile's *allocation* when no slot is evictable. kPrefetch
-  /// requests therefore queue behind every kDemand request in the
-  /// pending-allocation list; with only kDemand requests (the default)
-  /// the policy is byte-for-byte the historical FIFO.
-  enum class AllocPriority : std::uint8_t { kDemand, kPrefetch };
-
   /// Invoked after every mutation of a slot's (item, status, readers)
   /// triple, with the slot that changed, while the mutating call is still
   /// on the stack. ShardedSlotCache uses this to mirror slot state into
@@ -112,8 +103,7 @@ class SlotCache {
   /// Request a read pin on `item`. Immediate outcomes are returned (kHit /
   /// kFill); otherwise kQueued is returned and `cb` fires later. `cb` may
   /// be empty only if the caller can prove no queueing can occur.
-  Grant acquire(ItemId item, Callback cb,
-                AllocPriority priority = AllocPriority::kDemand);
+  Grant acquire(ItemId item, Callback cb);
 
   /// Per-entry callback of a batched acquire: fires once for every entry
   /// whose immediate outcome was kQueued, with that entry's index into the
@@ -130,9 +120,7 @@ class SlotCache {
   /// handled like any concurrent acquire (an extra pin, or a wait on the
   /// batch's own write slot), but callers normally pass distinct items.
   std::vector<Grant> acquire_batch(const std::vector<ItemId>& items,
-                                   BatchCallback cb,
-                                   AllocPriority priority =
-                                       AllocPriority::kDemand);
+                                   BatchCallback cb);
 
   /// Writer completed filling `slot`: transition WRITE→READ. The writer is
   /// granted the first read pin (do not call acquire again). All queued
@@ -205,7 +193,6 @@ class SlotCache {
   struct PendingAlloc {
     ItemId item;
     Callback cb;
-    AllocPriority priority = AllocPriority::kDemand;
   };
 
   void unlink_lru(Slot& slot);

@@ -88,115 +88,6 @@ std::vector<ItemIndex> working_set_items(const Region& r) {
   return out;
 }
 
-namespace {
-
-/// Mirror of StealExecutor::descend: split while over budget, children in
-/// split() order — the historical schedule, and the Z/Morton nesting.
-void collect_leaves(const Region& region, PairCount max_leaf_pairs,
-                    std::vector<Region>& out) {
-  if (count_pairs(region) == 0) return;
-  if (count_pairs(region) <= max_leaf_pairs) {
-    out.push_back(region);
-    return;
-  }
-  for (const Region& child : split(region)) {
-    collect_leaves(child, max_leaf_pairs, out);
-  }
-}
-
-std::uint32_t bits_for(ItemIndex extent) {
-  std::uint32_t bits = 1;
-  while ((1u << bits) < extent && bits < 31) ++bits;
-  return bits;
-}
-
-std::uint64_t morton_code(std::uint32_t row, std::uint32_t col) {
-  std::uint64_t code = 0;
-  for (std::uint32_t b = 0; b < 32; ++b) {
-    code |= (static_cast<std::uint64_t>((row >> b) & 1u) << (2 * b + 1)) |
-            (static_cast<std::uint64_t>((col >> b) & 1u) << (2 * b));
-  }
-  return code;
-}
-
-/// Hilbert d-index of (x, y) on a 2^bits × 2^bits grid (the classic
-/// rotate-and-flip accumulation).
-std::uint64_t hilbert_index(std::uint32_t bits, std::uint32_t x,
-                            std::uint32_t y) {
-  std::uint64_t d = 0;
-  for (std::uint32_t s = 1u << (bits - 1); s > 0; s >>= 1) {
-    const std::uint32_t rx = (x & s) ? 1 : 0;
-    const std::uint32_t ry = (y & s) ? 1 : 0;
-    d += static_cast<std::uint64_t>(s) * s * ((3 * rx) ^ ry);
-    if (ry == 0) {  // rotate the quadrant so the curve stays continuous
-      if (rx == 1) {
-        x = s - 1 - x;
-        y = s - 1 - y;
-      }
-      std::swap(x, y);
-    }
-  }
-  return d;
-}
-
-}  // namespace
-
-std::vector<Region> leaves(const Region& root, PairCount max_leaf_pairs,
-                           Traversal order) {
-  std::vector<Region> out;
-  collect_leaves(root, std::max<PairCount>(1, max_leaf_pairs), out);
-  switch (order) {
-    case Traversal::kDepthFirst:
-      break;
-    case Traversal::kRowMajor:
-      std::sort(out.begin(), out.end(), [](const Region& a, const Region& b) {
-        return std::tie(a.row_begin, a.col_begin) <
-               std::tie(b.row_begin, b.col_begin);
-      });
-      break;
-    case Traversal::kMorton:
-    case Traversal::kHilbert: {
-      const std::uint32_t bits =
-          bits_for(std::max(root.row_end, root.col_end));
-      // Decorated sort: one curve-key computation per leaf, not per
-      // comparison (the key loops over coordinate bits).
-      std::vector<std::pair<std::uint64_t, Region>> keyed;
-      keyed.reserve(out.size());
-      for (const Region& r : out) {
-        keyed.emplace_back(order == Traversal::kMorton
-                               ? morton_code(r.row_begin, r.col_begin)
-                               : hilbert_index(bits, r.col_begin,
-                                               r.row_begin),
-                           r);
-      }
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  // Leaves have distinct origins; the tie-break only makes
-                  // the order total for degenerate inputs.
-                  return std::tie(a.second.row_begin, a.second.col_begin) <
-                         std::tie(b.second.row_begin, b.second.col_begin);
-                });
-      for (std::size_t i = 0; i < keyed.size(); ++i) out[i] = keyed[i].second;
-      break;
-    }
-  }
-  return out;
-}
-
-std::uint64_t cold_transition_items(const std::vector<Region>& leaves) {
-  std::uint64_t total = 0;
-  std::vector<ItemIndex> prev;
-  for (const Region& leaf : leaves) {
-    std::vector<ItemIndex> ws = working_set_items(leaf);
-    for (const ItemIndex item : ws) {
-      if (!std::binary_search(prev.begin(), prev.end(), item)) ++total;
-    }
-    prev = std::move(ws);
-  }
-  return total;
-}
-
 std::vector<std::vector<Region>> partition_root(ItemIndex n,
                                                 std::uint32_t parts,
                                                 std::uint32_t granularity) {

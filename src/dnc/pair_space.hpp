@@ -96,41 +96,6 @@ ItemRange col_items(const Region& region);
 /// compares; its size always equals working_set_size(region).
 std::vector<ItemIndex> working_set_items(const Region& region);
 
-/// Order in which a region's leaves are enumerated / executed. The order
-/// decides how many *cold* items consecutive tiles introduce, which is what
-/// the slot caches pay for (the scheduling-order lever of Schoeneman &
-/// Zola's Spark all-pairs work, applied to our software caches):
-///   * kDepthFirst — the quadtree split order (Z/Morton nesting). This is
-///     the work-stealing executor's native descent order and the
-///     historical schedule; reuse distance is bounded by quadrant size.
-///   * kMorton    — leaves sorted by the Morton (bit-interleave) code of
-///     their origin; the flattened form of kDepthFirst.
-///   * kHilbert   — leaves sorted by Hilbert-curve index; consecutive
-///     tiles always share a side (rows or columns), which minimises the
-///     adjacent-transition cost among these orders.
-///   * kRowMajor  — leaves sorted by (row_begin, col_begin); the locality
-///     baseline: every row of tiles re-walks the full column span.
-enum class Traversal : std::uint8_t {
-  kDepthFirst,
-  kMorton,
-  kHilbert,
-  kRowMajor,
-};
-
-/// Decompose `root` into leaves of at most `max_leaf_pairs` pairs (the
-/// exact leaf set the executor's depth-first descent produces) and return
-/// them in the given traversal order. The leaf *set* is order-invariant;
-/// only the sequence changes.
-std::vector<Region> leaves(const Region& root, PairCount max_leaf_pairs,
-                           Traversal order = Traversal::kDepthFirst);
-
-/// Cold-item cost of executing `leaves` in sequence with a cache that
-/// holds exactly the previous leaf's working set: sum over leaves of the
-/// distinct items not referenced by the predecessor (the first leaf is
-/// all cold). The locality figure of merit for comparing traversal
-/// orders.
-std::uint64_t cold_transition_items(const std::vector<Region>& leaves);
-
 /// Static node-level partition of the n-item pair space (the live mesh's
 /// initial work distribution; imbalances are corrected at runtime by
 /// cross-node stealing). Regions are split largest-first until at least

@@ -427,7 +427,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     report.failover += meshes[id]->failover_stats();
     report.host_cache += node_reports[id].host_cache;
     report.cache_fast_hits += node_reports[id].cache_fast_hits;
-    report.prefetch_hits += node_reports[id].prefetch_hits;
     report.stall_seconds += node_reports[id].stall_seconds;
     report.load_retries += node_reports[id].load_retries;
     report.failed_loads += node_reports[id].failed_loads;

@@ -134,8 +134,9 @@ struct LiveClusterConfig {
   /// ignored (fresh start). Requires checkpoint_store.
   bool resume = false;
 
-  /// Master result-batch size for the mirror→journal→deliver flush unit
-  /// (only active when failover or a journal is enabled).
+  /// Master result-batch size for the mirror→journal→deliver flush unit.
+  /// A partial batch flushes on the next heartbeat tick, or when the run
+  /// completes.
   std::uint32_t journal_batch_pairs = 64;
 
   /// Master failover: mirror aggregation state to a standby and let the
@@ -204,10 +205,9 @@ struct LiveClusterReport {
   PeerCacheStats peer_cache;        // aggregated requester-side chain stats
   cache::CacheStats host_cache;     // merged over all nodes' cache shards
   std::uint64_t cache_fast_hits = 0;  // lock-free fast-path pins, all nodes
-  /// Tiles whose loads fully overlapped computation, all nodes (the
-  /// prefetch pipeline's hit count; peer fetches prefetched ahead of need
-  /// count exactly like store loads — the window drives the same load
-  /// pipeline).
+  /// Always 0: the runtime has no look-ahead window any more. Kept only
+  /// because the repo benchmark still reads it (runtime.prefetch_hits);
+  /// it goes with the benchmark's next metric-set change.
   std::uint64_t prefetch_hits = 0;
   double stall_seconds = 0.0;  // summed device load-stall time, all nodes
 

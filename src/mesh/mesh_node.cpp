@@ -145,8 +145,8 @@ void MeshNode::start() {
                           cfg_.heartbeat_interval_s > 0 && p > 1;
   const bool deadlines = cfg_.fetch_timeout_s > 0;
   const bool snapshots = cfg_.snapshot_interval_s > 0;
-  const bool master_tick = (cfg_.failover || cfg_.journal != nullptr) &&
-                           cfg_.heartbeat_interval_s > 0;
+  const bool master_tick =
+      (is_master() || cfg_.failover) && cfg_.heartbeat_interval_s > 0;
   if (detector || heartbeats || deadlines || snapshots || master_tick) {
     ticker_ = std::thread([this] { ticker_loop(); });
   }
@@ -311,7 +311,7 @@ void MeshNode::ticker_loop() {
     if (!i_am_master && cfg_.failover && cfg_.lease_timeout_s > 0) {
       check_master_lease();
     }
-    if (i_am_master && (cfg_.failover || cfg_.journal != nullptr)) {
+    if (i_am_master) {
       // Periodic master duties (standby resync, partial-batch flush) run
       // on the service thread, where the ledger lives.
       transport_.send(cfg_.id, cfg_.id, net::Tag::kControl, MasterTick{});
@@ -781,19 +781,6 @@ void MeshNode::on_result_msg(const ResultMsg& msg) {
     // Duplicate: a re-executed pair whose original owner also delivered,
     // or a late result from a node declared dead. Dropped, never
     // double-counted — the exactly-once invariant (DESIGN.md §12).
-    return;
-  }
-  const bool durable = cfg_.failover || cfg_.journal != nullptr;
-  if (!durable) {
-    // Pre-durability fast path: deliver immediately, bit-identical to
-    // the behaviour before batching existed.
-    if (cfg_.on_result) cfg_.on_result(msg.result);
-    ++results_seen_;
-    if (results_seen_ == cfg_.expected_pairs && !completed_ &&
-        cfg_.on_complete) {
-      completed_ = true;
-      cfg_.on_complete();
-    }
     return;
   }
   batch_.push_back(msg.result);

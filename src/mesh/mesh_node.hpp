@@ -239,10 +239,9 @@ class MeshNode final : public runtime::PeerFetchClient {
     std::vector<dnc::Pair> recovered;
 
     /// Master: accepted results buffer until this many are pending (or
-    /// the run completes), then flush as one unit: standby mirror →
-    /// journal append → user delivery. Only batched when failover or a
-    /// journal is active — otherwise results deliver immediately, as
-    /// before the durability layer existed.
+    /// the run completes, or a master tick fires), then flush as one
+    /// unit: standby mirror (with failover) → journal append (with a
+    /// journal) → user delivery.
     std::uint32_t result_batch_pairs = 64;
   };
 

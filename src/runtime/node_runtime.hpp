@@ -104,26 +104,6 @@ class NodeRuntime {
     /// the concurrent pin demand can never exceed the slot supply.
     std::uint32_t job_limit_per_worker = 8;
 
-    /// Look-ahead prefetch window per device, in tiles. The per-device
-    /// job budget splits into a *compute* budget (job_limit_per_worker,
-    /// clamped as above) and this many additional in-flight tiles whose
-    /// missing items are driven through the load pipeline ahead of need,
-    /// so the kernels for tile T overlap the I/O/parse/H2D stages of tiles
-    /// T+1..T+W (§4.3's transfer/compute overlap carried into the
-    /// scheduler). The deadlock-freedom invariant generalises: compute
-    /// demand + prefetch demand ≤ device slots per shard, so tile working
-    /// sets clamp against the combined budget (and the window itself is
-    /// clamped on slot-starved devices). 0 = off: bit-identical to the
-    /// pre-prefetch schedule.
-    std::uint32_t prefetch_tiles = 0;
-
-    /// Leaf visitation order (dnc::Traversal). kDepthFirst is the
-    /// executor's native descent — the historical schedule; kHilbert
-    /// orders tiles along a Hilbert curve so consecutive tiles share rows
-    /// or columns (fewer cold items per step, fewer loads under a small
-    /// cache); kRowMajor is the locality baseline for head-to-heads.
-    dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
-
     /// Leaf budget of the divide-and-conquer decomposition (§4.2). Leaves
     /// near the device working-set budget amortise pins and queue hops
     /// best; 64 pairs ≈ a 8×8 tile.
@@ -172,8 +152,9 @@ class NodeRuntime {
     /// Report::spans_dropped instead of growing without bound. 0 = no cap.
     std::size_t max_spans_per_lane = Profiler::kDefaultSpanCap;
 
-    /// Optional sink for discrete trace events (prefetch parks); shared
-    /// with the mesh layer's event stream by LiveCluster. May be null.
+    /// Optional sink of discrete trace events, shared with the mesh
+    /// layer's event stream by LiveCluster; copied into the trace report.
+    /// May be null.
     telemetry::EventLog* event_log = nullptr;
 
     // --- causal tracing (DESIGN.md §16) ---
@@ -204,10 +185,6 @@ class NodeRuntime {
     /// in hits). 0 when cache_shards == 1.
     std::uint64_t cache_fast_hits = 0;
     std::vector<std::uint64_t> pairs_per_device;
-    /// Tiles whose working set finished loading while every compute slot
-    /// of their device was busy — i.e. loads that the prefetch window
-    /// fully overlapped with computation. 0 when prefetch_tiles == 0.
-    std::uint64_t prefetch_hits = 0;
     /// kFailed cache-grant re-drives (bounded by max_acquire_retries).
     std::uint64_t acquire_retries = 0;
     /// Transient store-read retries absorbed by the backoff budget
@@ -219,7 +196,7 @@ class NodeRuntime {
     std::vector<double> device_busy_seconds;
     /// Per-device load-stall seconds: wall time minus GPU-lane busy time —
     /// the time the device sat idle waiting for data (plus scheduling
-    /// slack). The quantity the prefetch pipeline exists to shrink.
+    /// slack).
     std::vector<double> device_stall_seconds;
     double stall_seconds = 0.0;  // sum of device_stall_seconds
     steal::ExecutorStats steal;

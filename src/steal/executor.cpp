@@ -44,32 +44,7 @@ ExecutorStats StealExecutor::run(dnc::ItemIndex n, const LeafFn& leaf) {
     owned.push_back(std::make_unique<ChaseLevDeque<dnc::Region>>());
     deques.push_back(owned.back().get());
   }
-  if (total > 0) {
-    if (config_.leaf_order == dnc::Traversal::kDepthFirst) {
-      deques[0]->push(new dnc::Region(dnc::root_region(n)));
-    } else {
-      // Materialised traversal: one contiguous chunk of the ordered leaf
-      // list per worker, each pushed in reverse so the owner's LIFO pops
-      // walk its chunk front to back. Chunking keeps the curve's
-      // adjacency within every worker and starts all workers busy —
-      // seeding a single deque would turn the other workers' entire
-      // share into per-leaf steals of arbitrary far-end leaves.
-      const auto ordered = dnc::leaves(dnc::root_region(n),
-                                       std::max<std::uint64_t>(
-                                           1, config_.max_leaf_pairs),
-                                       config_.leaf_order);
-      const std::size_t per_worker =
-          (ordered.size() + deques.size() - 1) / deques.size();
-      for (std::size_t w = 0; w < deques.size(); ++w) {
-        const std::size_t begin = w * per_worker;
-        const std::size_t end =
-            std::min(ordered.size(), begin + per_worker);
-        for (std::size_t i = end; i > begin; --i) {
-          deques[w]->push(new dnc::Region(ordered[i - 1]));
-        }
-      }
-    }
-  }
+  if (total > 0) deques[0]->push(new dnc::Region(dnc::root_region(n)));
 
   std::vector<std::thread> threads;
   threads.reserve(config_.num_workers);

@@ -65,17 +65,6 @@ class StealExecutor {
     std::uint32_t num_workers = 1;
     std::uint64_t max_leaf_pairs = 1;
     std::uint64_t seed = 1;
-
-    /// Leaf visitation order for run(). kDepthFirst is the native
-    /// work-stealing descent (root seeded, siblings re-derived on the
-    /// fly — the historical schedule). Any other order materialises the
-    /// leaf list up front (dnc::leaves) and seeds each worker's deque
-    /// with one contiguous chunk of it, so every worker pops its chunk
-    /// in exactly that order; idle workers still steal from the far
-    /// end. run_partition() always uses the native descent — a mesh
-    /// node's work arrives as partition fragments and stolen regions,
-    /// which have no meaningful global order.
-    dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
   };
 
   /// Cross-node hooks for run_partition. `steal` may block briefly (it is

@@ -99,8 +99,8 @@ class SynchronizedStore final : public ObjectStore {
 /// Latency-injecting decorator: every read sleeps for a fixed wall-clock
 /// delay before delegating. The live counterpart of SimulatedStore for
 /// load-bound experiments — with it, a runtime configuration is I/O-bound
-/// by construction, which is what the prefetch-pipeline head-to-head in
-/// bench_micro needs. Thread-safe iff the wrapped store is.
+/// by construction (a slow node's store, traced runs in tests). Thread-safe
+/// iff the wrapped store is.
 class ThrottledStore final : public ObjectStore {
  public:
   ThrottledStore(ObjectStore& inner, std::uint64_t read_latency_us)

@@ -12,7 +12,6 @@ const char* path_phase_name(PathPhase phase) {
     case PathPhase::kSteal: return "steal";
     case PathPhase::kLoad: return "load";
     case PathPhase::kDeliver: return "deliver";
-    case PathPhase::kGatePark: return "gate_park";
     case PathPhase::kIdle: return "idle";
     case PathPhase::kCount: break;
   }
@@ -29,7 +28,6 @@ PathPhase path_phase_of(SpanPhase phase) {
     case SpanPhase::kGrant: return PathPhase::kSteal;
     case SpanPhase::kLoadWait: return PathPhase::kLoad;
     case SpanPhase::kDeliver: return PathPhase::kDeliver;
-    case SpanPhase::kGatePark: return PathPhase::kGatePark;
     case SpanPhase::kTile:
     case SpanPhase::kCount: break;
   }

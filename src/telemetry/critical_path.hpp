@@ -5,7 +5,7 @@
 // timeline. Output: for the run window, the share of wall time each phase
 // occupies on the cluster's critical path — at every instant the highest-
 // priority phase active on ANY node wins (compute > peer-fetch > steal >
-// load > deliver > gate-park), uncovered time is idle — plus the top-k
+// load > deliver), uncovered time is idle — plus the top-k
 // slowest sampled tiles with their full causal chains. Idle is defined as
 // the remainder, so the percentages sum to 100 by construction.
 
@@ -25,7 +25,6 @@ enum class PathPhase : std::uint8_t {
   kSteal,
   kLoad,
   kDeliver,
-  kGatePark,
   kIdle,
   kCount
 };

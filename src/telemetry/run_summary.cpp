@@ -82,7 +82,6 @@ RunSummary RunSummary::from_node(
   s.report.remote_steals = report.steal.remote_steals;
   s.report.host_cache = report.host_cache;
   s.report.cache_fast_hits = report.cache_fast_hits;
-  s.report.prefetch_hits = report.prefetch_hits;
   s.report.stall_seconds = report.stall_seconds;
   s.report.load_retries = report.load_retries;
   s.report.failed_loads = report.failed_loads;
@@ -119,7 +118,6 @@ std::string RunSummary::to_json() const {
       .field("peer_loads", r.peer_loads)
       .field("remote_steals", r.remote_steals)
       .field("cache_fast_hits", r.cache_fast_hits)
-      .field("prefetch_hits", r.prefetch_hits)
       .field("stall_seconds", r.stall_seconds);
 
   w.key("host_cache");
@@ -249,7 +247,6 @@ std::string RunSummary::to_json() const {
         .field("peer_loads", node.peer_loads)
         .field("wall_seconds", node.wall_seconds)
         .field("stall_seconds", node.stall_seconds)
-        .field("prefetch_hits", node.prefetch_hits)
         .field("acquire_retries", node.acquire_retries)
         .field("load_retries", node.load_retries)
         .field("failed_loads", node.failed_loads)

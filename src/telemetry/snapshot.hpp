@@ -25,7 +25,6 @@ struct NodeStats {
   std::uint64_t cache_fills = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_fast_hits = 0;
-  std::uint64_t prefetch_hits = 0;
   std::uint64_t remote_steals = 0;
   std::int64_t in_flight_tiles = 0;
   std::int64_t result_queue_depth = 0;

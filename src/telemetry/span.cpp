@@ -47,7 +47,6 @@ const char* span_phase_name(SpanPhase phase) {
     case SpanPhase::kLoadWait: return "load.wait";
     case SpanPhase::kPeerFetch: return "peer.fetch";
     case SpanPhase::kPeerServe: return "peer.serve";
-    case SpanPhase::kGatePark: return "compute.gate.park";
     case SpanPhase::kCompute: return "compute";
     case SpanPhase::kDeliver: return "result.deliver";
     case SpanPhase::kSteal: return "steal";

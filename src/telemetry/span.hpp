@@ -55,7 +55,6 @@ enum class SpanPhase : std::uint8_t {
   kLoadWait,       // submit -> working set resident
   kPeerFetch,      // requester side of a distributed-cache fetch
   kPeerServe,      // candidate side: probe hit served to a peer
-  kGatePark,       // loaded but parked waiting for a compute token
   kCompute,        // the kernel pass
   kDeliver,        // results handed to the delivery path / master
   kSteal,          // thief side of a cross-node steal round trip

@@ -38,7 +38,6 @@ enum class EventKind : std::uint8_t {
   kNodeDeath,     // a: dead node (recorded by the master's detector)
   kRegionRegrant, // a: survivor granted to, b: pair count (saturated)
   kRegionAdopt,   // a: adopting node
-  kPrefetchPark,  // a: device ordinal (tile resolved before a token freed)
   kFetchRetry,    // a: item id (peer fetch retransmitted)
   kMasterFailover,  // a: adopting node, b: failover epoch (DESIGN.md §14)
   kNodeSuspected,   // a: node below the health rate threshold (§15)
@@ -57,7 +56,7 @@ struct TraceEvent {
 };
 
 /// Bounded, thread-safe event sink; one per node. Events are rare (steals,
-/// deaths, parks — not per-pair), so a mutex is fine; the cap guards
+/// deaths, verdicts — not per-pair), so a mutex is fine; the cap guards
 /// against a pathological run flooding the trace.
 class EventLog {
  public:

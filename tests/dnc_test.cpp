@@ -188,85 +188,6 @@ TEST(PairSpace, PairsOfReturnsRowMajor) {
   EXPECT_EQ(pairs[2], (Pair{1, 2}));
 }
 
-TEST(PairSpace, LeavesEnumerateIdenticalSetAcrossOrders) {
-  // Traversal order is a pure permutation: every order must produce the
-  // exact leaf set of the executor's depth-first descent, whose pairs
-  // partition the region.
-  for (const Region& region :
-       {root_region(64), Region{0, 64, 64, 128, 0}, root_region(17)}) {
-    const auto reference = leaves(region, 16, Traversal::kDepthFirst);
-    std::set<std::pair<ItemIndex, ItemIndex>> covered;
-    PairCount total = 0;
-    for (const Region& leaf : reference) {
-      EXPECT_LE(count_pairs(leaf), 16u);
-      for_each_pair(leaf, [&](Pair p) {
-        EXPECT_TRUE(covered.insert({p.left, p.right}).second);
-        ++total;
-      });
-    }
-    EXPECT_EQ(total, count_pairs(region));
-
-    auto sorted_ref = reference;
-    std::sort(sorted_ref.begin(), sorted_ref.end(),
-              [](const Region& a, const Region& b) {
-                return std::tie(a.row_begin, a.col_begin) <
-                       std::tie(b.row_begin, b.col_begin);
-              });
-    for (const Traversal order :
-         {Traversal::kMorton, Traversal::kHilbert, Traversal::kRowMajor}) {
-      auto ordered = leaves(region, 16, order);
-      ASSERT_EQ(ordered.size(), reference.size());
-      std::sort(ordered.begin(), ordered.end(),
-                [](const Region& a, const Region& b) {
-                  return std::tie(a.row_begin, a.col_begin) <
-                         std::tie(b.row_begin, b.col_begin);
-                });
-      EXPECT_EQ(ordered, sorted_ref);
-    }
-  }
-}
-
-TEST(PairSpace, CurveOrderBeatsRowMajorOnTransitions) {
-  // The locality property the tile scheduler leans on, measured as the
-  // cold items consecutive leaves introduce (a 1-leaf-lookback cache).
-  // On an n=64 square region (64 8x8 tiles) the Hilbert curve — the
-  // Morton-family order whose consecutive tiles always share a side, i.e.
-  // share rows or columns — must yield strictly fewer distinct-item
-  // transitions than a row-major scan. Plain Z/Morton nesting bounds
-  // *reuse distance* instead (its win shows up against a real LRU cache:
-  // see the traversal head-to-head in bench_micro), so only <= sanity is
-  // asserted for it here.
-  const Region square{0, 64, 64, 128, 0};
-  const auto hilbert =
-      cold_transition_items(leaves(square, 64, Traversal::kHilbert));
-  const auto row_major =
-      cold_transition_items(leaves(square, 64, Traversal::kRowMajor));
-  const auto depth_first =
-      cold_transition_items(leaves(square, 64, Traversal::kDepthFirst));
-  EXPECT_LT(hilbert, row_major);
-  EXPECT_LE(hilbert, depth_first);
-
-  // Every Hilbert step shares a side: 64 tiles of 16 items, first tile
-  // all cold, then 8 new items per step.
-  EXPECT_EQ(hilbert, 16u + 63u * 8u);
-
-  // The triangle (the real workload's root) preserves the ordering.
-  const auto tri_hilbert =
-      cold_transition_items(leaves(root_region(64), 64, Traversal::kHilbert));
-  const auto tri_row_major =
-      cold_transition_items(leaves(root_region(64), 64, Traversal::kRowMajor));
-  EXPECT_LT(tri_hilbert, tri_row_major);
-}
-
-TEST(PairSpace, DepthFirstLeavesMatchMortonNesting) {
-  // kDepthFirst (the executor's native order) and the Morton-code sort
-  // agree on power-of-two squares — the DFS *is* the Z curve; the code
-  // sort is its flattened form.
-  const Region square{0, 64, 64, 128, 0};
-  EXPECT_EQ(leaves(square, 64, Traversal::kDepthFirst),
-            leaves(square, 64, Traversal::kMorton));
-}
-
 TEST(PairSpace, PartitionRootCoversPairSetExactly) {
   for (const ItemIndex n : {2u, 3u, 17u, 37u}) {
     for (const std::uint32_t parts : {1u, 2u, 5u, 8u}) {

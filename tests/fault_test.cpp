@@ -1000,7 +1000,7 @@ struct DurableOutcome {
 DurableOutcome run_durable(const runtime::Application& app,
                            storage::ObjectStore& store, FaultSchedule faults,
                            storage::ObjectStore* checkpoint = nullptr,
-                           bool resume = false) {
+                           bool resume = false, bool master_failover = true) {
   LiveClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.node.devices = {gpu::titanx_maxwell()};
@@ -1016,6 +1016,7 @@ DurableOutcome run_durable(const runtime::Application& app,
   cfg.journal_batch_pairs = 8;
   cfg.checkpoint_store = checkpoint;
   cfg.resume = resume;
+  cfg.master_failover = master_failover;
   cfg.faults = std::move(faults);
   LiveCluster cluster(cfg);
 
@@ -1068,6 +1069,53 @@ TEST(MasterFailover, KillMasterMatrixPreservesExactResults) {
     EXPECT_GE(outcome.report.failover.results_received,
               outcome.report.pairs +
                   outcome.report.duplicate_results_dropped);
+  }
+}
+
+TEST(MasterFailover, FailoverOffBatchesAndDeliversExactlyOnce) {
+  // Failover off and no journal: results still reach the user through the
+  // master's batched flush, the one delivery path.
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 4;
+  fc.images_per_camera = 5;
+  fc.width = 48;
+  fc.height = 40;
+  fc.seed = 43;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+  const ResultMap expected = single_node_reference(app, store);
+
+  // No kill, then a worker kill: the master's lease detector re-grants
+  // the dead worker's share, and the run ends with the exact single-node
+  // multiset, each pair delivered once.
+  for (const bool kill_worker : {false, true}) {
+    SCOPED_TRACE(kill_worker ? "worker killed" : "no kill");
+    FaultSchedule schedule;
+    if (kill_worker) schedule.faults.push_back(Fault{2, 35, 0.0});
+    const auto outcome = run_durable(app, store, std::move(schedule), nullptr,
+                                     false, /*master_failover=*/false);
+    EXPECT_EQ(outcome.results, expected);
+    EXPECT_EQ(outcome.report.pairs, expected.size());
+    for (const auto& [pair, count] : outcome.counts) EXPECT_EQ(count, 1);
+    EXPECT_EQ(outcome.report.master_failovers, 0u);
+  }
+
+  // A master kill ends the run early: the dead master's pending batch is
+  // dropped, never delivered. What did reach the user (nothing, if the
+  // kill lands before the first flush) is a subset of the single-node
+  // multiset, bit for bit, each pair once.
+  FaultSchedule schedule;
+  schedule.faults.push_back(Fault{0, 150, 0.0});
+  const auto outcome = run_durable(app, store, std::move(schedule), nullptr,
+                                   false, /*master_failover=*/false);
+  EXPECT_EQ(outcome.report.master_failovers, 0u);
+  EXPECT_LT(outcome.results.size(), expected.size());
+  for (const auto& [pair, score] : outcome.results) {
+    const auto it = expected.find(pair);
+    ASSERT_NE(it, expected.end());
+    EXPECT_EQ(score, it->second);
+    EXPECT_EQ(outcome.counts.at(pair), 1);
   }
 }
 

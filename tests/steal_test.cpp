@@ -250,31 +250,6 @@ TEST(StealExecutor, AllPairsProcessedExactlyOnce) {
   EXPECT_EQ(stats.leaves, 40u * 39 / 2);
 }
 
-TEST(StealExecutor, MaterialisedOrdersCoverAllPairsAcrossWorkers) {
-  // Non-default leaf orders pre-materialise the leaf list and seed every
-  // worker's deque with a contiguous chunk; the union executed across
-  // all workers must still be exactly the root pair set, for every
-  // order and a multi-worker pool.
-  for (const auto order : {dnc::Traversal::kHilbert, dnc::Traversal::kMorton,
-                           dnc::Traversal::kRowMajor}) {
-    StealExecutor::Config cfg;
-    cfg.num_workers = 3;
-    cfg.max_leaf_pairs = 8;
-    cfg.leaf_order = order;
-    StealExecutor exec(cfg);
-    std::mutex mutex;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-    exec.run(60, [&](const dnc::Region& region, std::uint32_t) {
-      std::scoped_lock lock(mutex);
-      dnc::for_each_pair(region, [&](dnc::Pair p) {
-        EXPECT_TRUE(seen.insert({p.left, p.right}).second)
-            << "pair processed twice";
-      });
-    });
-    EXPECT_EQ(seen.size(), 60u * 59 / 2);
-  }
-}
-
 TEST(StealExecutor, CoarseLeavesConserveWork) {
   StealExecutor::Config cfg;
   cfg.num_workers = 3;

@@ -293,7 +293,7 @@ TEST(TraceExporter, AlignsNodesOnOneTimeline) {
 TEST(EventLog, CapsAndCounts) {
   EventLog log(4);
   for (int i = 0; i < 10; ++i) {
-    log.record(EventKind::kPrefetchPark, static_cast<std::uint32_t>(i));
+    log.record(EventKind::kFetchRetry, static_cast<std::uint32_t>(i));
   }
   EXPECT_EQ(log.events().size(), 4u);
   EXPECT_EQ(log.dropped(), 6u);
