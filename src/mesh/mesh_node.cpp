@@ -1187,15 +1187,12 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
   if (!is_master() || snap.node >= snap_states_.size()) return;
   const auto now = std::chrono::steady_clock::now();
   SnapState& state = snap_states_[snap.node];
-  if (state.seen) {
-    state.prev = state.last;
-    state.prev_at = state.last_at;
-    state.prev_owed = state.last_owed;
-  }
+  state.prev = state.last;
+  state.prev_owed = state.last_owed;
   state.last = snap.stats;
   state.last_at = now;
   state.last_owed = owes_work(snap.node);
-  state.seen = true;
+  ++state.samples;
 
   // One evaluation per master interval: the master publishes through its
   // own inbox like everyone else, so its own sample is the metronome.
@@ -1209,16 +1206,15 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
       std::chrono::duration<double>(now - epoch_).count();
   for (NodeId k = 0; k < snap_states_.size(); ++k) {
     const SnapState& s = snap_states_[k];
-    if (!s.seen) continue;
+    if (s.samples == 0) continue;
     telemetry::NodeSnapshot ns;
     ns.node = k;
     ns.alive = !dead_[k].load(std::memory_order_acquire);
     ns.health = ns.alive ? health_of(k) : telemetry::NodeHealth::kDead;
     ns.age_seconds = std::chrono::duration<double>(now - s.last_at).count();
     ns.stats = s.last;
-    const double dt =
-        std::chrono::duration<double>(s.last_at - s.prev_at).count();
-    if (s.prev_at.time_since_epoch().count() != 0 && dt > 0) {
+    const double dt = s.rate_seconds();
+    if (dt > 0) {
       ns.pairs_per_sec =
           static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
       const std::uint32_t lanes = std::max(s.last.lanes, 1u);
@@ -1230,7 +1226,9 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
     // otherwise report a phantom rate for as long as the node stays
     // quiet (a dead node's last sample never decays). Zero the
     // instantaneous fields; the cumulative stats keep their last sample.
-    if (!ns.alive || ns.age_seconds > 2.0 * cfg_.snapshot_interval_s) {
+    // Without a configured interval there is no schedule to be late for.
+    if (!ns.alive || (cfg_.snapshot_interval_s > 0 &&
+                      ns.age_seconds > 2.0 * cfg_.snapshot_interval_s)) {
       ns.pairs_per_sec = 0.0;
       ns.busy_fraction = 0.0;
     }
@@ -1256,9 +1254,10 @@ void MeshNode::evaluate_health() {
   using telemetry::NodeHealth;
   const auto p = transport_.num_nodes();
   // EWMA-smooth each live publisher's *busy* delivered-pairs rate: the
-  // delta of its last two samples over their arrival spacing, folded only
-  // when the interval is new since the last fold and began with owed
-  // work. An interval that began idle by completion (lease finished, next
+  // delta of its last two samples over the publisher's own uptime between
+  // them (arrival spacing would add the master's inbox delay), folded
+  // only when the interval is new since the last fold and began with
+  // owed work. An interval that began idle by completion (lease finished, next
   // one not yet granted) measures the wait for work, not the node's
   // speed; a pair of samples already folded would count one interval
   // twice.
@@ -1269,19 +1268,15 @@ void MeshNode::evaluate_health() {
     const SnapState& s = snap_states_[k];
     HealthState& h = health_states_[k];
     h.fresh = false;
-    if (s.seen && s.prev_owed && s.prev_at.time_since_epoch().count() != 0 &&
-        s.last_at != h.rated_at) {
-      const double dt =
-          std::chrono::duration<double>(s.last_at - s.prev_at).count();
-      if (dt > 0) {
-        const double inst =
-            static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
-        h.ewma = h.ewma < 0 ? inst
-                            : cfg_.health_ewma_alpha * inst +
-                                  (1.0 - cfg_.health_ewma_alpha) * h.ewma;
-        h.rated_at = s.last_at;
-        h.fresh = true;
-      }
+    const double dt = s.rate_seconds();
+    if (dt > 0 && s.prev_owed && s.samples != h.rated_sample) {
+      const double inst =
+          static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
+      h.ewma = h.ewma < 0 ? inst
+                          : cfg_.health_ewma_alpha * inst +
+                                (1.0 - cfg_.health_ewma_alpha) * h.ewma;
+      h.rated_sample = s.samples;
+      h.fresh = true;
     }
     // A rated node stays in the median once idle: its last busy rate is
     // still the best estimate of its speed. Without it a straggler is

@@ -343,13 +343,22 @@ class MeshNode final : public runtime::PeerFetchClient {
   /// only): the last two samples, for rate-from-delta computation, and
   /// whether the publisher owed work when each arrived.
   struct SnapState {
-    bool seen = false;
+    std::uint64_t samples = 0;  // samples folded so far
     telemetry::NodeStats last{};
     telemetry::NodeStats prev{};
-    std::chrono::steady_clock::time_point last_at{};
-    std::chrono::steady_clock::time_point prev_at{};
+    std::chrono::steady_clock::time_point last_at{};  // arrival: staleness
     bool last_owed = false;
     bool prev_owed = false;
+
+    /// Seconds between the last two samples on the publisher's own clock
+    /// (NodeStats::uptime_seconds), or 0 when they give no rate: fewer
+    /// than two samples, an uptime that did not advance, or a pair
+    /// counter that went backwards (a torn-down engine reports zeros).
+    double rate_seconds() const {
+      if (samples < 2 || last.pairs < prev.pairs) return 0.0;
+      const double dt = last.uptime_seconds - prev.uptime_seconds;
+      return dt > 0.0 ? dt : 0.0;
+    }
   };
 
   void serve_loop();
@@ -534,7 +543,7 @@ class MeshNode final : public runtime::PeerFetchClient {
     std::uint32_t below = 0;  // consecutive below-threshold intervals
     std::uint32_t above = 0;  // consecutive above-recovery intervals
     bool fresh = false;       // ewma folded a new sample this evaluation
-    std::chrono::steady_clock::time_point rated_at{};  // that sample's arrival
+    std::uint64_t rated_sample = 0;  // SnapState::samples when folded
   };
   std::vector<HealthState> health_states_;  // service thread only
   std::uint32_t health_seq_ = 0;            // service thread only

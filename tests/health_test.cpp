@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <array>
 #include <cmath>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -210,19 +212,30 @@ TEST(ResultLedger, PairsOwedTracksGrantsTransfersAndDeliveries) {
 
 /// Three MeshNodes with the health detector live on the master and NO
 /// runtimes or tickers: telemetry snapshots are fabricated by the test,
-/// so every rate — and therefore every verdict — is scripted. The master
-/// holds a real ledger (grants pin the owed-work guard open).
+/// so every rate — and therefore every verdict — is scripted, counters
+/// and uptime clock alike. The master holds a real ledger (grants pin
+/// the owed-work guard open).
 struct HealthHarness {
   static constexpr std::uint32_t kNodes = 3;
   static constexpr dnc::ItemIndex kItems = 30;
+  static constexpr double kInterval = 0.01;  // scripted uptime per round
+  using Stats = std::array<telemetry::NodeStats, kNodes>;
 
   InProcessTransport transport{kNodes};
   std::shared_ptr<std::atomic<bool>> done =
       std::make_shared<std::atomic<bool>>(false);
   std::vector<std::unique_ptr<MeshNode>> nodes;
-  std::vector<std::uint64_t> pairs = std::vector<std::uint64_t>(kNodes, 0);
+  Stats cumulative{};
   std::vector<std::uint64_t> seq = std::vector<std::uint64_t>(kNodes, 0);
   bool joined = false;
+
+  // Evaluation barrier: the master's on_snapshot hook fires right after
+  // evaluate_health, once per master sample.
+  std::mutex eval_mutex;
+  std::condition_variable eval_cv;
+  std::uint64_t evaluations = 0;              // guarded by eval_mutex
+  telemetry::ClusterSnapshot last_snapshot;  // guarded by eval_mutex
+  std::uint64_t published = 0;               // master samples sent
 
   HealthHarness() {
     for (NodeId id = 0; id < kNodes; ++id) {
@@ -237,6 +250,14 @@ struct HealthHarness {
         mc.recover_intervals = 2;
         mc.health_ewma_alpha = 1.0;  // rate == last delta: fully scripted
         mc.speculation_regions_per_interval = 2;
+        mc.on_snapshot = [this](const telemetry::ClusterSnapshot& snap) {
+          {
+            std::scoped_lock lock(eval_mutex);
+            ++evaluations;
+            last_snapshot = snap;
+          }
+          eval_cv.notify_all();
+        };
       }
       nodes.push_back(std::make_unique<MeshNode>(mc, transport, done));
     }
@@ -252,25 +273,43 @@ struct HealthHarness {
     for (auto& node : nodes) node->join();
   }
 
-  /// One telemetry interval: bump each node's cumulative pair counter by
-  /// the given delta and publish all three snapshots, the master's own
-  /// LAST (its arrival is the evaluation metronome).
-  void round(std::uint64_t d0, std::uint64_t d1, std::uint64_t d2) {
-    // Spacing between rounds gives every per-node sample pair a real,
-    // strictly positive arrival delta.
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+  /// The next interval's samples: each node's cumulative pair counter
+  /// grows by the given delta and its uptime by kInterval.
+  Stats advance(std::uint64_t d0, std::uint64_t d1, std::uint64_t d2) {
     const std::uint64_t deltas[kNodes] = {d0, d1, d2};
+    for (NodeId id = 0; id < kNodes; ++id) {
+      cumulative[id].pairs += deltas[id];
+      cumulative[id].uptime_seconds += kInterval;
+    }
+    return cumulative;
+  }
+
+  /// Publish one sample per node, the master's own LAST (its arrival is
+  /// the evaluation metronome), and return once the master has evaluated
+  /// them.
+  void publish(const Stats& stats) {
     for (NodeId id = kNodes; id-- > 0;) {  // 2, 1, then master 0 last
-      pairs[id] += deltas[id];
       TelemetrySnapshot snap;
       snap.node = id;
       snap.seq = ++seq[id];
-      snap.stats.pairs = pairs[id];
+      snap.stats = stats[id];
       transport.send(id, MeshNode::kMaster, net::Tag::kTelemetry, snap);
     }
-    // Let the master's service thread drain the inbox before the caller
-    // inspects verdicts.
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    const std::uint64_t target = ++published;
+    std::unique_lock lock(eval_mutex);
+    ASSERT_TRUE(eval_cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return evaluations >= target; }))
+        << "the master never evaluated round " << target;
+  }
+
+  /// One telemetry interval with the given per-node pair deltas.
+  void round(std::uint64_t d0, std::uint64_t d1, std::uint64_t d2) {
+    publish(advance(d0, d1, d2));
+  }
+
+  telemetry::ClusterSnapshot snapshot() {
+    std::scoped_lock lock(eval_mutex);
+    return last_snapshot;
   }
 
   /// Spin until `observer` sees `node` in `state` (gossip is async).
@@ -371,6 +410,37 @@ TEST(NodeHealth, RecoveredNodeReceivesSpeculatedGrantsAgain) {
   EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
   mesh.round(1000, 1000, 1000);
   EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kAlive);
+}
+
+TEST(NodeHealth, CounterResetGivesNoRateAndMovesNoVerdict) {
+  using telemetry::NodeHealth;
+  HealthHarness mesh;
+
+  mesh.round(0, 0, 0);
+  mesh.round(1000, 1000, 10);
+  ASSERT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
+  const auto before = mesh.snapshot();
+  ASSERT_EQ(before.nodes.size(), 3u);
+  EXPECT_DOUBLE_EQ(before.nodes[1].pairs_per_sec, 1000 / mesh.kInterval);
+
+  // Engine teardown: node 2's sampler is unregistered and its snapshots
+  // carry NodeStats{} — pairs and uptime back to 0. The drop must give no
+  // rate (not a wrapped uint64 delta) and so no verdict change either way.
+  auto stats = mesh.advance(1000, 1000, 10);
+  stats[2] = telemetry::NodeStats{};
+  mesh.publish(stats);
+
+  const auto after = mesh.snapshot();
+  ASSERT_EQ(after.nodes.size(), 3u);
+  EXPECT_TRUE(std::isfinite(after.nodes[2].pairs_per_sec));
+  EXPECT_EQ(after.nodes[2].pairs_per_sec, 0.0);
+  EXPECT_EQ(after.nodes[2].busy_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(after.cluster_pairs_per_sec, 2 * 1000 / mesh.kInterval);
+  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
+  EXPECT_EQ(mesh.nodes[0]->health_of(1), NodeHealth::kAlive);
+  const FailoverStats failover = mesh.nodes[0]->failover_stats();
+  EXPECT_EQ(failover.nodes_degraded, 0u);
+  EXPECT_EQ(failover.nodes_recovered, 0u);
 }
 
 TEST(NodeHealth, DeathVerdictOutranksGossipAndFreezesState) {
