@@ -22,7 +22,7 @@ import sys
 SUMMARY_KEYS = [
     "schema", "app", "mode", "num_nodes", "pairs", "wall_seconds",
     "pairs_per_sec", "loads", "peer_loads", "remote_steals",
-    "cache_fast_hits", "prefetch_hits", "stall_seconds", "host_cache",
+    "cache_fast_hits", "stall_seconds", "host_cache",
     "directory", "peer_cache", "failover", "health", "speculation",
     "checkpoint", "traffic", "node_traffic", "metrics", "critical_path",
     "nodes",
@@ -34,7 +34,7 @@ CRITICAL_PATH_KEYS = [
 ]
 
 CRITICAL_PATH_PHASES = [
-    "compute", "peer_fetch", "steal", "load", "deliver", "gate_park", "idle",
+    "compute", "peer_fetch", "steal", "load", "deliver", "idle",
 ]
 
 FAILOVER_KEYS = [

@@ -205,9 +205,9 @@ struct LiveClusterReport {
   PeerCacheStats peer_cache;        // aggregated requester-side chain stats
   cache::CacheStats host_cache;     // merged over all nodes' cache shards
   std::uint64_t cache_fast_hits = 0;  // lock-free fast-path pins, all nodes
-  /// Always 0: the runtime has no look-ahead window any more. Kept only
-  /// because the repo benchmark still reads it (runtime.prefetch_hits);
-  /// it goes with the benchmark's next metric-set change.
+  /// Always 0. Kept only because the repo benchmark reads it as
+  /// runtime.prefetch_hits; it goes with the benchmark's next metric-set
+  /// change.
   std::uint64_t prefetch_hits = 0;
   double stall_seconds = 0.0;  // summed device load-stall time, all nodes
 

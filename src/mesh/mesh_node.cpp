@@ -1257,8 +1257,8 @@ void MeshNode::evaluate_health() {
   // delta of its last two samples over the publisher's own uptime between
   // them (arrival spacing would add the master's inbox delay), folded
   // only when the interval is new since the last fold and began with
-  // owed work. An interval that began idle by completion (lease finished, next
-  // one not yet granted) measures the wait for work, not the node's
+  // owed work. An interval that began idle by completion (lease finished,
+  // next one not yet granted) measures the wait for work, not the node's
   // speed; a pair of samples already folded would count one interval
   // twice.
   std::vector<double> rates;
