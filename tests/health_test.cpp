@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <array>
 #include <cmath>
 #include <condition_variable>
 #include <map>
@@ -421,7 +421,8 @@ TEST(NodeHealth, CounterResetGivesNoRateAndMovesNoVerdict) {
   ASSERT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
   const auto before = mesh.snapshot();
   ASSERT_EQ(before.nodes.size(), 3u);
-  EXPECT_DOUBLE_EQ(before.nodes[1].pairs_per_sec, 1000 / mesh.kInterval);
+  constexpr double kBusyRate = 1000 / HealthHarness::kInterval;
+  EXPECT_DOUBLE_EQ(before.nodes[1].pairs_per_sec, kBusyRate);
 
   // Engine teardown: node 2's sampler is unregistered and its snapshots
   // carry NodeStats{} — pairs and uptime back to 0. The drop must give no
@@ -435,7 +436,7 @@ TEST(NodeHealth, CounterResetGivesNoRateAndMovesNoVerdict) {
   EXPECT_TRUE(std::isfinite(after.nodes[2].pairs_per_sec));
   EXPECT_EQ(after.nodes[2].pairs_per_sec, 0.0);
   EXPECT_EQ(after.nodes[2].busy_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(after.cluster_pairs_per_sec, 2 * 1000 / mesh.kInterval);
+  EXPECT_DOUBLE_EQ(after.cluster_pairs_per_sec, 2 * kBusyRate);
   EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
   EXPECT_EQ(mesh.nodes[0]->health_of(1), NodeHealth::kAlive);
   const FailoverStats failover = mesh.nodes[0]->failover_stats();
