@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,10 +54,13 @@ class MpmcQueue {
     }
   }
 
-  /// Blocking pop; returns nullopt only once the queue is closed and empty.
-  std::optional<T> pop() {
+  /// Pop, waiting at most until `deadline` (by default, for ever). Returns
+  /// nullopt once the deadline passes with the queue empty, or once the
+  /// queue is closed and empty; closed() tells the two apart.
+  std::optional<T> pop(std::chrono::steady_clock::time_point deadline =
+                           std::chrono::steady_clock::time_point::max()) {
     std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
+    cv_.wait_until(lock, deadline, [&] { return !items_.empty() || closed_; });
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();

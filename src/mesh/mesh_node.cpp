@@ -78,16 +78,13 @@ MeshNode::MeshNode(Config config, Transport& transport,
   stats_.hits_at_hop.assign(cfg_.hop_limit, 0);
   const auto p = transport_.num_nodes();
   dead_ = std::make_unique<std::atomic<bool>[]>(p);
-  last_seen_ns_ = std::make_unique<std::atomic<std::int64_t>[]>(p);
   health_ = std::make_unique<std::atomic<std::uint8_t>[]>(p);
   for (std::uint32_t k = 0; k < p; ++k) {
     dead_[k].store(false, std::memory_order_relaxed);
-    last_seen_ns_[k].store(0, std::memory_order_relaxed);
     health_[k].store(static_cast<std::uint8_t>(telemetry::NodeHealth::kAlive),
                      std::memory_order_relaxed);
   }
   health_states_.assign(p, HealthState{});
-  declared_.assign(p, false);
   cells_.resize(std::max(1u, cfg_.num_workers));
   for (std::uint32_t w = 0; w < cells_.size(); ++w) {
     cells_[w].rng.reseed(cfg_.seed * 0x9E3779B97F4A7C15ULL +
@@ -120,7 +117,6 @@ MeshNode::MeshNode(Config config, Transport& transport,
 MeshNode::~MeshNode() { join(); }
 
 void MeshNode::start() {
-  const auto p = transport_.num_nodes();
   // Resume edge case: the journal already covered every pair. Nothing
   // will ever arrive to trigger completion, so fire it up front.
   if (is_master() && cfg_.expected_pairs > 0 &&
@@ -129,256 +125,217 @@ void MeshNode::start() {
     completed_ = true;
     cfg_.on_complete();
   }
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  for (std::uint32_t k = 0; k < p; ++k) {
-    last_seen_ns_[k].store(now_ns, std::memory_order_relaxed);
-  }
+  last_seen_.assign(transport_.num_nodes(), std::chrono::steady_clock::now());
   service_ = std::thread([this] { serve_loop(); });
-  // With failover every node may end up master, so every node runs both
-  // the detector and heartbeats; the ticker branches on the CURRENT role.
-  const bool detector =
-      (is_master() || cfg_.failover) && cfg_.lease_timeout_s > 0;
-  const bool heartbeats = (!is_master() || cfg_.failover) &&
-                          cfg_.heartbeat_interval_s > 0 && p > 1;
-  const bool deadlines = cfg_.fetch_timeout_s > 0;
-  const bool snapshots = cfg_.snapshot_interval_s > 0;
-  const bool master_tick =
-      (is_master() || cfg_.failover) && cfg_.heartbeat_interval_s > 0;
-  if (detector || heartbeats || deadlines || snapshots || master_tick) {
-    ticker_ = std::thread([this] { ticker_loop(); });
-  }
 }
 
 void MeshNode::join() {
-  {
-    std::scoped_lock lock(ticker_mutex_);
-    ticker_stop_ = true;
-  }
-  ticker_cv_.notify_all();
-  if (ticker_.joinable()) ticker_.join();
   if (service_.joinable()) service_.join();
 }
 
 void MeshNode::serve_loop() {
-  while (auto msg = transport_.recv(cfg_.id)) {
-    // A killed node observes its own death at the next message boundary
-    // and goes silent: queued messages are discarded, nothing is acted
-    // on. (Sends already fail at the transport; this stops the master
-    // from journalling or delivering results as a corpse.) Steal replies
-    // are the exception: one queued here reached this node before the
-    // kill, so the victim has already handed its region over and will
-    // never re-adopt it. The node's own executor keeps running (§12.1)
-    // and takes it from the adoption queue; discarding it would lose its
-    // pairs whenever no failure detector re-grants them.
-    if (!crashed_ && transport_.is_node_down(cfg_.id)) crashed_ = true;
-    if (crashed_ && !std::holds_alternative<StealReply>(msg->body)) continue;
-    // Frame integrity (satellite: CRC every transport payload). A
-    // corrupted frame is dropped before it renews a lease or reaches a
-    // handler — the injector always follows it with a clean retransmit,
-    // so dropping is the whole recovery.
-    if (msg->crc != 0 && frame_crc(msg->body) != msg->crc) {
-      frame_corrupt_->add();
-      continue;
-    }
-    const NodeId from = msg->from;
-    if (from < transport_.num_nodes()) {
-      // Any traffic renews the sender's lease, not just heartbeats — a
-      // node busy shipping results is evidently alive.
-      const std::int64_t now_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - epoch_)
-              .count();
-      last_seen_ns_[from].store(now_ns, std::memory_order_release);
-    }
-    if (cfg_.flight != nullptr) {
-      // Black box: every message that reached a handler, with its causal
-      // ids when the body carries a sampled context (DESIGN.md §16).
-      telemetry::SpanContext sc;
-      std::visit(
-          [&sc](const auto& body) {
-            if constexpr (requires { body.span; }) sc = body.span;
-          },
-          msg->body);
-      cfg_.flight->record(
-          static_cast<std::uint16_t>(telemetry::kFlightMessageBase +
-                                     msg->body.index()),
-          cfg_.id, sc.trace_id, sc.span_id, from, 0);
-    }
-    std::visit(
-        [this, from](auto&& body) {
-          using Body = std::decay_t<decltype(body)>;
-          if constexpr (std::is_same_v<Body, CacheRequest>) {
-            on_cache_request(body);
-          } else if constexpr (std::is_same_v<Body, CacheProbe>) {
-            on_cache_probe(std::move(body));
-          } else if constexpr (std::is_same_v<Body, CacheData>) {
-            on_cache_data(std::move(body));
-          } else if constexpr (std::is_same_v<Body, CacheFailure>) {
-            on_cache_failure(body);
-          } else if constexpr (std::is_same_v<Body, StealRequest>) {
-            on_steal_request(body);
-          } else if constexpr (std::is_same_v<Body, StealReply>) {
-            on_steal_reply(body);
-          } else if constexpr (std::is_same_v<Body, ResultMsg>) {
-            on_result_msg(body);
-          } else if constexpr (std::is_same_v<Body, Heartbeat>) {
-            // Lease already renewed above; the body carries nothing else.
-          } else if constexpr (std::is_same_v<Body, NodeDown>) {
-            on_node_down(body, from);
-          } else if constexpr (std::is_same_v<Body, StealExport>) {
-            on_steal_export(body);
-          } else if constexpr (std::is_same_v<Body, RegionGrant>) {
-            on_region_grant(body);
-          } else if constexpr (std::is_same_v<Body, TelemetrySnapshot>) {
-            on_telemetry(body);
-          } else if constexpr (std::is_same_v<Body, LedgerSync>) {
-            on_ledger_sync(std::move(body));
-          } else if constexpr (std::is_same_v<Body, MasterAnnounce>) {
-            on_master_announce(body);
-          } else if constexpr (std::is_same_v<Body, MasterTick>) {
-            on_master_tick();
-          } else if constexpr (std::is_same_v<Body, HealthUpdate>) {
-            on_health_update(body);
-          }
-        },
-        std::move(msg->body));
-  }
-}
-
-// --- ticker: heartbeats, failure detection, fetch deadlines ---------------
-
-void MeshNode::ticker_loop() {
+  using Clock = std::chrono::steady_clock;
   // Tick at the finest enabled granularity (heartbeats may renew more
-  // often than their nominal interval, which is harmless).
-  double period_s = 1.0;
-  if (cfg_.heartbeat_interval_s > 0) {
-    period_s = std::min(period_s, cfg_.heartbeat_interval_s);
+  // often than their nominal interval, which is harmless). With failover
+  // every node may end up master, so every node runs the detector;
+  // on_timers branches on the CURRENT role.
+  double tick_s = 0.0;
+  const auto finest = [&tick_s](double s) {
+    if (s > 0) tick_s = tick_s > 0 ? std::min(tick_s, s) : s;
+  };
+  finest(cfg_.heartbeat_interval_s);
+  if (is_master() || cfg_.failover) finest(cfg_.lease_timeout_s / 4);
+  finest(cfg_.fetch_timeout_s / 2);
+  finest(cfg_.snapshot_interval_s);
+  if (tick_s > 0) tick_s = std::clamp(tick_s, 1e-4, 1.0);
+  const auto tick = seconds_to_duration(tick_s);
+  auto next_tick = Clock::time_point::max();
+  if (tick_s > 0) {
+    // Phase jitter (DESIGN.md §15 satellite): N nodes constructed together
+    // would otherwise renew leases and publish snapshots in lockstep,
+    // hammering the master's inbox in p-message bursts each interval. A
+    // deterministic per-node phase offset in [0, tick) — BackoffPolicy's
+    // jitter fn salted by the node id — spreads the arrivals evenly.
+    const BackoffPolicy phase{tick_s, tick_s, 1.0, 0};
+    next_tick = Clock::now() + tick +
+                seconds_to_duration(0.5 * phase.delay_seconds(0, cfg_.id + 1));
   }
-  if ((is_master() || cfg_.failover) && cfg_.lease_timeout_s > 0) {
-    period_s = std::min(period_s, cfg_.lease_timeout_s / 4);
-  }
-  if (cfg_.fetch_timeout_s > 0) {
-    period_s = std::min(period_s, cfg_.fetch_timeout_s / 2);
-  }
-  if (cfg_.snapshot_interval_s > 0) {
-    period_s = std::min(period_s, cfg_.snapshot_interval_s);
-  }
-  const auto tick = seconds_to_duration(std::max(period_s, 1e-4));
-  next_snapshot_ = std::chrono::steady_clock::now();
-
-  std::unique_lock lock(ticker_mutex_);
-  // Phase jitter (DESIGN.md §15 satellite): N nodes constructed together
-  // would otherwise renew leases and publish snapshots in lockstep,
-  // hammering the master's inbox in p-message bursts each interval. A
-  // deterministic per-node phase offset in [0, tick) — BackoffPolicy's
-  // jitter fn salted by the node id — spreads the arrivals evenly.
-  {
-    const BackoffPolicy phase{period_s, period_s, 1.0, 0};
-    const double phase_s = 0.5 * phase.delay_seconds(0, cfg_.id + 1);
-    if (phase_s > 0 &&
-        ticker_cv_.wait_for(lock, seconds_to_duration(phase_s),
-                            [this] { return ticker_stop_; })) {
+  for (;;) {
+    std::optional<Message> msg = transport_.recv(cfg_.id, next_tick);
+    // One clock read per wake-up serves the lease renewal and the timers.
+    const auto now = Clock::now();
+    if (msg) {
+      on_message(std::move(*msg), now);
+    } else if (transport_.closed()) {
       return;
     }
-  }
-  while (!ticker_cv_.wait_for(lock, tick, [this] { return ticker_stop_; })) {
-    lock.unlock();
-    const NodeId master_now = master_.load(std::memory_order_acquire);
-    const bool i_am_master = cfg_.id == master_now;
-    const auto p = transport_.num_nodes();
-    if (cfg_.heartbeat_interval_s > 0 && p > 1) {
-      if (!i_am_master) {
-        transport_.send(cfg_.id, master_now, net::Tag::kHeartbeat,
-                        Heartbeat{cfg_.id, ++heartbeat_seq_});
-      } else if (cfg_.failover) {
-        // Failover needs the master's liveness to be observable too:
-        // broadcast its lease renewal so every standby's master-watch
-        // has something to time out on.
-        ++heartbeat_seq_;
-        for (NodeId peer = 0; peer < p; ++peer) {
-          if (peer == cfg_.id || dead_[peer].load(std::memory_order_acquire)) {
-            continue;
-          }
-          transport_.send(cfg_.id, peer, net::Tag::kHeartbeat,
-                          Heartbeat{cfg_.id, heartbeat_seq_});
-        }
-      }
+    if (now >= next_tick) {
+      // An inbox found empty at the deadline has renewed every lease it
+      // was sent, so this tick may judge silence.
+      on_timers(now, /*caught_up=*/!msg);
+      next_tick = now + tick;
     }
-    if (i_am_master && cfg_.lease_timeout_s > 0) check_leases();
-    if (!i_am_master && cfg_.failover && cfg_.lease_timeout_s > 0) {
-      check_master_lease();
-    }
-    if (i_am_master) {
-      // Periodic master duties (standby resync, partial-batch flush) run
-      // on the service thread, where the ledger lives.
-      transport_.send(cfg_.id, cfg_.id, net::Tag::kControl, MasterTick{});
-    }
-    if (cfg_.fetch_timeout_s > 0) check_fetch_deadlines();
-    if (cfg_.snapshot_interval_s > 0 &&
-        std::chrono::steady_clock::now() >= next_snapshot_) {
-      next_snapshot_ = std::chrono::steady_clock::now() +
-                       seconds_to_duration(cfg_.snapshot_interval_s);
-      publish_snapshot();
-    }
-    lock.lock();
   }
 }
 
-void MeshNode::check_leases() {
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  const auto lease_ns =
-      static_cast<std::int64_t>(cfg_.lease_timeout_s * 1e9);
+void MeshNode::on_message(Message msg,
+                          std::chrono::steady_clock::time_point now) {
+  // A killed node observes its own death at the next message boundary and
+  // goes silent: queued messages are discarded, nothing is acted on.
+  // (Sends already fail at the transport; this stops the master from
+  // journalling or delivering results as a corpse.) Steal replies are the
+  // exception: one queued here reached this node before the kill, so the
+  // victim has already handed its region over and will never re-adopt
+  // it. The node's own executor keeps running (§12.1) and takes it from
+  // the adoption queue; discarding it would lose its pairs whenever no
+  // failure detector re-grants them.
+  if (!crashed_ && transport_.is_node_down(cfg_.id)) crashed_ = true;
+  if (crashed_ && !std::holds_alternative<StealReply>(msg.body)) return;
+  // Frame integrity (satellite: CRC every transport payload). A corrupted
+  // frame is dropped before it renews a lease or reaches a handler — the
+  // injector always follows it with a clean retransmit, so dropping is
+  // the whole recovery.
+  if (msg.crc != 0 && frame_crc(msg.body) != msg.crc) {
+    frame_corrupt_->add();
+    return;
+  }
+  const NodeId from = msg.from;
+  // Any traffic renews the sender's lease, not just heartbeats — a node
+  // busy shipping results is evidently alive.
+  if (from < last_seen_.size()) last_seen_[from] = now;
+  if (cfg_.flight != nullptr) {
+    // Black box: every message that reached a handler, with its causal
+    // ids when the body carries a sampled context (DESIGN.md §16).
+    telemetry::SpanContext sc;
+    std::visit(
+        [&sc](const auto& body) {
+          if constexpr (requires { body.span; }) sc = body.span;
+        },
+        msg.body);
+    cfg_.flight->record(
+        static_cast<std::uint16_t>(telemetry::kFlightMessageBase +
+                                   msg.body.index()),
+        cfg_.id, sc.trace_id, sc.span_id, from, 0);
+  }
+  std::visit(
+      [this, from](auto&& body) {
+        using Body = std::decay_t<decltype(body)>;
+        if constexpr (std::is_same_v<Body, CacheRequest>) {
+          on_cache_request(body);
+        } else if constexpr (std::is_same_v<Body, CacheProbe>) {
+          on_cache_probe(std::move(body));
+        } else if constexpr (std::is_same_v<Body, CacheData>) {
+          on_cache_data(std::move(body));
+        } else if constexpr (std::is_same_v<Body, CacheFailure>) {
+          on_cache_failure(body);
+        } else if constexpr (std::is_same_v<Body, StealRequest>) {
+          on_steal_request(body);
+        } else if constexpr (std::is_same_v<Body, StealReply>) {
+          on_steal_reply(body);
+        } else if constexpr (std::is_same_v<Body, ResultMsg>) {
+          on_result_msg(body);
+        } else if constexpr (std::is_same_v<Body, Heartbeat>) {
+          // Lease already renewed above; the body carries nothing else.
+        } else if constexpr (std::is_same_v<Body, NodeDown>) {
+          on_node_down(body, from);
+        } else if constexpr (std::is_same_v<Body, StealExport>) {
+          on_steal_export(body);
+        } else if constexpr (std::is_same_v<Body, RegionGrant>) {
+          on_region_grant(body);
+        } else if constexpr (std::is_same_v<Body, TelemetrySnapshot>) {
+          on_telemetry(body);
+        } else if constexpr (std::is_same_v<Body, LedgerSync>) {
+          on_ledger_sync(std::move(body));
+        } else if constexpr (std::is_same_v<Body, MasterAnnounce>) {
+          on_master_announce(body);
+        } else if constexpr (std::is_same_v<Body, HealthUpdate>) {
+          on_health_update(body);
+        }
+      },
+      std::move(msg.body));
+}
+
+// --- timers: heartbeats, failure detection, flush, fetch deadlines --------
+
+void MeshNode::on_timers(std::chrono::steady_clock::time_point now,
+                         bool caught_up) {
+  if (!crashed_ && transport_.is_node_down(cfg_.id)) crashed_ = true;
+  if (cfg_.fetch_timeout_s > 0) check_fetch_deadlines();
+  if (crashed_) return;  // a corpse decides nothing
+  const bool i_am_master = is_master();
+  const auto p = transport_.num_nodes();
+  if (cfg_.heartbeat_interval_s > 0 && p > 1) {
+    if (!i_am_master) {
+      transport_.send(cfg_.id, current_master(), net::Tag::kHeartbeat,
+                      Heartbeat{cfg_.id, ++heartbeat_seq_});
+    } else if (cfg_.failover) {
+      // Failover needs the master's liveness to be observable too:
+      // broadcast its lease renewal so every standby's master-watch
+      // has something to time out on.
+      ++heartbeat_seq_;
+      for (NodeId peer = 0; peer < p; ++peer) {
+        if (peer == cfg_.id || dead_[peer].load(std::memory_order_acquire)) {
+          continue;
+        }
+        transport_.send(cfg_.id, peer, net::Tag::kHeartbeat,
+                        Heartbeat{cfg_.id, heartbeat_seq_});
+      }
+    }
+  }
+  if (cfg_.lease_timeout_s > 0 && caught_up) {
+    if (i_am_master) {
+      check_leases(now);
+    } else if (cfg_.failover) {
+      check_master_lease(now);
+    }
+  }
+  if (is_master()) {
+    // Bounded staleness: a partial batch flushes within one tick even if
+    // results trickle in slower than result_batch_pairs.
+    if (!batch_.empty()) {
+      flush_results();
+    } else if (cfg_.failover && standby_needs_snapshot_) {
+      sync_to_standby();
+    }
+  }
+  if (cfg_.snapshot_interval_s > 0 && now >= next_snapshot_) {
+    next_snapshot_ = now + seconds_to_duration(cfg_.snapshot_interval_s);
+    publish_snapshot();
+  }
+}
+
+void MeshNode::check_leases(std::chrono::steady_clock::time_point now) {
+  const auto lease = seconds_to_duration(cfg_.lease_timeout_s);
   const auto p = transport_.num_nodes();
   for (NodeId k = 0; k < p; ++k) {
-    if (k == cfg_.id || declared_[k]) continue;
-    if (dead_[k].load(std::memory_order_acquire)) {
-      declared_[k] = true;
-      continue;
-    }
-    const std::int64_t silence_ns =
-        now_ns - last_seen_ns_[k].load(std::memory_order_acquire);
-    if (silence_ns < lease_ns) {
+    if (k == cfg_.id || dead_[k].load(std::memory_order_acquire)) continue;
+    const auto silence = now - last_seen_[k];
+    if (silence < lease) {
       // Lease slack: how much margin the node had left when the detector
       // looked. A slack distribution hugging zero means the timeout is
       // about to false-positive on a healthy-but-busy cluster.
-      lease_slack_->record_ns(static_cast<std::uint64_t>(lease_ns - silence_ns));
+      lease_slack_->record_ns(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(lease - silence)
+              .count()));
       continue;
     }
-    declared_[k] = true;
-    // Deliver the verdict through our own inbox so every ledger mutation
-    // happens on the service thread. A false positive (slow node, not a
-    // dead one) is safe: its late results still dedup per pair.
-    transport_.send(cfg_.id, cfg_.id, net::Tag::kFailover, NodeDown{k, 0});
+    // A false positive (slow node, not a dead one) is safe: its late
+    // results still dedup per pair.
+    on_node_down(NodeDown{k, 0}, cfg_.id);
   }
 }
 
-void MeshNode::check_master_lease() {
+void MeshNode::check_master_lease(std::chrono::steady_clock::time_point now) {
   // Standby side of failover: watch the CURRENT master's lease the same
-  // way the master watches everyone else's. The verdict goes through our
-  // own inbox; the service thread decides whether this node is the
-  // lowest live survivor and must adopt.
-  const NodeId m = master_.load(std::memory_order_acquire);
-  if (m == cfg_.id || m >= transport_.num_nodes() || declared_[m]) return;
-  if (dead_[m].load(std::memory_order_acquire)) {
-    declared_[m] = true;
+  // way the master watches everyone else's. on_node_down decides whether
+  // this node is the lowest live survivor and must adopt.
+  const NodeId m = current_master();
+  if (m == cfg_.id || m >= transport_.num_nodes() ||
+      dead_[m].load(std::memory_order_acquire)) {
     return;
   }
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  const auto lease_ns = static_cast<std::int64_t>(cfg_.lease_timeout_s * 1e9);
-  const std::int64_t silence_ns =
-      now_ns - last_seen_ns_[m].load(std::memory_order_acquire);
-  if (silence_ns < lease_ns) return;
-  declared_[m] = true;
-  transport_.send(cfg_.id, cfg_.id, net::Tag::kFailover, NodeDown{m, 0});
+  if (now - last_seen_[m] < seconds_to_duration(cfg_.lease_timeout_s)) return;
+  on_node_down(NodeDown{m, 0}, cfg_.id);
 }
 
 void MeshNode::check_fetch_deadlines() {
@@ -897,17 +854,6 @@ void MeshNode::on_master_announce(const MasterAnnounce& ann) {
   wake();
 }
 
-void MeshNode::on_master_tick() {
-  if (crashed_ || !is_master()) return;
-  if (!batch_.empty()) {
-    // Bounded staleness: a partial batch flushes within one tick even if
-    // results trickle in slower than result_batch_pairs.
-    flush_results();
-    return;
-  }
-  if (cfg_.failover && standby_needs_snapshot_) sync_to_standby();
-}
-
 void MeshNode::adopt_master(NodeId dead_master) {
   const auto p = transport_.num_nodes();
   master_.store(cfg_.id, std::memory_order_release);
@@ -946,13 +892,8 @@ void MeshNode::adopt_master(NodeId dead_master) {
   standby_needs_snapshot_ = true;
   // Fresh leases for everyone: the new master's detector must not
   // declare survivors dead for silence accumulated under the old reign.
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  for (NodeId k = 0; k < p; ++k) {
-    last_seen_ns_[k].store(now_ns, std::memory_order_release);
-  }
+  std::fill(last_seen_.begin(), last_seen_.end(),
+            std::chrono::steady_clock::now());
   // Announce, and spread the death verdict (peers that detected the
   // master's death themselves dedup on dead_).
   for (NodeId peer = 0; peer < p; ++peer) {

@@ -3,8 +3,9 @@
 // Per-node mesh service: the live counterpart of the cluster-layer
 // protocols the simulator runs in virtual time.
 //
-// Each node of a LiveCluster owns one MeshNode. A dedicated service
-// thread drains the node's transport inbox and serves four duties:
+// Each node of a LiveCluster owns one MeshNode, and each MeshNode runs
+// one service thread. It drains the node's transport inbox and serves
+// these duties:
 //   * mediator  — §4.1.3 directory lookups for the items this node
 //                 mediates (item mod p), answered by forwarding a probe
 //                 along the candidate chain;
@@ -24,20 +25,22 @@
 //                 every lease move after the initial seeding, through
 //                 move_lease().
 //
-// A second, low-rate ticker thread drives everything timeout-shaped
-// (DESIGN.md §12): heartbeat leases to the master, the master's
-// missed-lease failure detector, and pending-peer-fetch deadlines (retry
-// with backoff, then complete as a miss so the load pipeline falls back
-// to the object store — the mechanism that also unblocks a *killed*
-// node's own in-flight fetches). The ticker never mutates protocol state
-// directly: death verdicts travel through the master's own inbox, so the
-// ledger stays single-threaded on the service thread.
+// The same thread drives everything timeout-shaped (DESIGN.md §12): it
+// waits on its inbox only until the next tick deadline, and on_timers
+// then sends heartbeat leases, runs the missed-lease failure detector,
+// flushes the master's partial result batch, publishes the telemetry
+// sample, and sweeps pending-peer-fetch deadlines (retry with backoff,
+// then complete as a miss so the load pipeline falls back to the object
+// store — the mechanism that also unblocks a *killed* node's own
+// in-flight fetches). A death verdict is applied inline, so the ledger
+// and every other piece of protocol state have one writer.
 //
 // Requester-side flows never block a runtime thread unboundedly:
 // PeerFetchClient::fetch is fully asynchronous (its callback fires when
 // the data or a failure message arrives, a failed send completes the
-// fetch as a miss immediately, and the ticker bounds how long a silent
-// peer can stall it), and remote_steal waits on its reply with a timeout.
+// fetch as a miss immediately, and the deadline sweep bounds how long a
+// silent peer can stall it), and remote_steal waits on its reply with a
+// timeout.
 // Together with the rule that the service thread only ever blocks on its
 // own inbox, this is the mesh's deadlock-freedom argument (DESIGN.md §9).
 
@@ -145,7 +148,7 @@ class MeshNode final : public runtime::PeerFetchClient {
     // --- telemetry (DESIGN.md §13) ---
 
     /// Period of this node's TelemetrySnapshot stream to the master
-    /// (published on the ticker; the master publishes to itself so every
+    /// (published from on_timers; the master publishes to itself so every
     /// node goes through the same path). 0 disables the stream.
     double snapshot_interval_s = 0.0;
 
@@ -239,8 +242,8 @@ class MeshNode final : public runtime::PeerFetchClient {
     std::vector<dnc::Pair> recovered;
 
     /// Master: accepted results buffer until this many are pending (or
-    /// the run completes, or a master tick fires), then flush as one
-    /// unit: standby mirror (with failover) → journal append (with a
+    /// the run completes, or the next timer tick comes), then flush as
+    /// one unit: standby mirror (with failover) → journal append (with a
     /// journal) → user delivery.
     std::uint32_t result_batch_pairs = 64;
   };
@@ -252,8 +255,8 @@ class MeshNode final : public runtime::PeerFetchClient {
   MeshNode(const MeshNode&) = delete;
   MeshNode& operator=(const MeshNode&) = delete;
 
-  /// Launch the service thread (and the ticker when any timeout feature
-  /// is enabled). Call join() only after Transport::close().
+  /// Launch the service thread, the node's only thread. Call join() only
+  /// after Transport::close().
   void start();
   void join();
 
@@ -330,7 +333,7 @@ class MeshNode final : public runtime::PeerFetchClient {
   };
 
   /// One in-flight peer fetch (requester side). `deadline`/`attempts`
-  /// drive the ticker's retry sweep when fetch_timeout_s > 0.
+  /// drive the timers' retry sweep when fetch_timeout_s > 0.
   struct PendingFetch {
     DoneFn done;
     std::uint32_t attempts = 0;
@@ -362,9 +365,17 @@ class MeshNode final : public runtime::PeerFetchClient {
   };
 
   void serve_loop();
-  void ticker_loop();
-  void check_leases();
-  void check_master_lease();
+
+  /// Service thread: one inbox message, received at `now`.
+  void on_message(Message msg, std::chrono::steady_clock::time_point now);
+
+  /// Service thread, once per tick: heartbeats, the master's partial-batch
+  /// flush and standby re-sync, fetch deadlines, the telemetry sample and,
+  /// when `caught_up` (the inbox was empty at the deadline), the lease
+  /// checks. A corpse only sweeps its fetch deadlines.
+  void on_timers(std::chrono::steady_clock::time_point now, bool caught_up);
+  void check_leases(std::chrono::steady_clock::time_point now);
+  void check_master_lease(std::chrono::steady_clock::time_point now);
   void check_fetch_deadlines();
   void on_cache_request(const CacheRequest& req);
   void on_cache_probe(CacheProbe probe);
@@ -379,7 +390,6 @@ class MeshNode final : public runtime::PeerFetchClient {
   void on_telemetry(const TelemetrySnapshot& snap);
   void on_ledger_sync(LedgerSync sync);
   void on_master_announce(const MasterAnnounce& ann);
-  void on_master_tick();
   void on_health_update(const HealthUpdate& update);
 
   // --- grey-failure health (master, service thread; DESIGN.md §15) ---
@@ -422,7 +432,7 @@ class MeshNode final : public runtime::PeerFetchClient {
   void init_region_watch();
   void note_region_progress(const runtime::PairResult& result);
 
-  /// Ticker: sample this node's runtime and ship it to the master.
+  /// Timers: sample this node's runtime and ship it to the master.
   void publish_snapshot();
 
   // --- ownership (DESIGN.md §12.3) ---
@@ -551,9 +561,9 @@ class MeshNode final : public runtime::PeerFetchClient {
   std::atomic<std::uint64_t> steals_avoided_degraded_{0};
 
   // --- durability state (service thread only; DESIGN.md §14) ---
-  /// Which node holds the master role. Atomic because the ticker and the
-  /// result-routing path read it from other threads; written only by the
-  /// service thread (adoption, announce).
+  /// Which node holds the master role. Atomic because the result-routing
+  /// path reads it from runtime threads; written only by the service
+  /// thread (adoption, announce).
   std::atomic<NodeId> master_{kMaster};
   bool crashed_ = false;  // this node observed its own injected death
   bool completed_ = false;  // on_complete fired (guard across failover)
@@ -575,19 +585,16 @@ class MeshNode final : public runtime::PeerFetchClient {
   std::vector<RegionWatch> region_watch_;
   std::vector<dnc::Region> regions_just_completed_;
 
-  // --- liveness (shared between service thread and ticker) ---
+  // --- liveness ---
+  /// Death verdicts: written by the service thread, read by fetch and
+  /// steal paths on runtime threads.
   std::unique_ptr<std::atomic<bool>[]> dead_;
-  std::unique_ptr<std::atomic<std::int64_t>[]> last_seen_ns_;
+  // Service thread only from here on.
+  std::vector<std::chrono::steady_clock::time_point> last_seen_;
   std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t heartbeat_seq_ = 0;  // ticker thread only
-  std::vector<bool> declared_;       // ticker thread only: verdicts sent
-  std::uint64_t snapshot_seq_ = 0;   // ticker thread only
-  std::chrono::steady_clock::time_point next_snapshot_{};  // ticker only
-
-  std::thread ticker_;
-  std::mutex ticker_mutex_;
-  std::condition_variable ticker_cv_;
-  bool ticker_stop_ = false;  // guarded by ticker_mutex_
+  std::uint64_t heartbeat_seq_ = 0;
+  std::uint64_t snapshot_seq_ = 0;
+  std::chrono::steady_clock::time_point next_snapshot_{};
 };
 
 }  // namespace rocket::mesh

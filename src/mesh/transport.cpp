@@ -134,8 +134,6 @@ void fold_body(std::uint32_t& crc, const MasterAnnounce& b) {
   fold(crc, b.epoch);
 }
 
-void fold_body(std::uint32_t& crc, const MasterTick&) {}
-
 void fold_body(std::uint32_t& crc, const HealthUpdate& b) {
   fold(crc, b.node);
   fold(crc, b.state);
@@ -180,10 +178,9 @@ void corrupt_body(MessageBody& body) {
           b.delivered ^= 1u;
         } else if constexpr (std::is_same_v<T, MasterAnnounce>) {
           b.master ^= 1u;
-        } else if constexpr (std::is_same_v<T, HealthUpdate>) {
-          b.node ^= 1u;
         } else {
-          static_assert(std::is_same_v<T, MasterTick>, "unhandled body");
+          static_assert(std::is_same_v<T, HealthUpdate>, "unhandled body");
+          b.node ^= 1u;
         }
       },
       body);
@@ -201,9 +198,9 @@ std::uint32_t frame_crc(const MessageBody& body) {
 
 FaultSchedule FaultSchedule::single_kill(std::uint64_t seed,
                                          std::uint32_t num_nodes,
-                                         std::uint64_t max_messages) {
+                                         std::uint64_t max_results) {
   FaultSchedule schedule;
-  if (num_nodes < 2 || max_messages == 0) return schedule;
+  if (num_nodes < 2 || max_results == 0) return schedule;
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
   Fault fault;
   // Node 0 is the master by LiveCluster convention. Master death is
@@ -211,7 +208,7 @@ FaultSchedule FaultSchedule::single_kill(std::uint64_t seed,
   // scripted matrix (MasterFailover.*); this sweep draws non-master
   // victims only, so seeded schedules replay as they always have.
   fault.node = 1 + static_cast<NodeId>(rng.uniform_index(num_nodes - 1));
-  fault.after_messages = 1 + rng.uniform_index(max_messages);
+  fault.after_results = 1 + rng.uniform_index(max_results);
   schedule.faults.push_back(fault);
   return schedule;
 }
@@ -238,7 +235,8 @@ InProcessTransport::InProcessTransport(std::uint32_t num_nodes, Config config)
 
 void InProcessTransport::check_faults() {
   if (!faults_pending_.load(std::memory_order_acquire)) return;
-  const std::uint64_t delivered = delivered_.load(std::memory_order_acquire);
+  const std::uint64_t results =
+      delivered_results_.load(std::memory_order_acquire);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_)
           .count();
@@ -247,11 +245,11 @@ void InProcessTransport::check_faults() {
   for (std::size_t f = 0; f < config_.faults.faults.size(); ++f) {
     if (fault_fired_[f]) continue;
     const Fault& fault = config_.faults.faults[f];
-    const bool by_messages =
-        fault.after_messages > 0 && delivered >= fault.after_messages;
+    const bool by_results =
+        fault.after_results > 0 && results >= fault.after_results;
     const bool by_time =
         fault.after_seconds > 0.0 && elapsed >= fault.after_seconds;
-    if (by_messages || by_time) {
+    if (by_results || by_time) {
       fault_fired_[f] = true;
       set_down(fault.node);
     } else {
@@ -321,17 +319,19 @@ bool InProcessTransport::send(NodeId src, NodeId dst, net::Tag tag,
     // on, and never the only delivery.
     Message mangled{src, dst, tag, crc, body};
     corrupt_body(mangled.body);
-    if (frame_crc(mangled.body) == crc) mangled.crc = ~crc;  // MasterTick
     corrupted_.fetch_add(1, std::memory_order_acq_rel);
     inboxes_[dst]->push(std::move(mangled));
   }
-  delivered_.fetch_add(1, std::memory_order_acq_rel);
+  if (tag == net::Tag::kResult) {
+    delivered_results_.fetch_add(1, std::memory_order_acq_rel);
+  }
   inboxes_[dst]->push(Message{src, dst, tag, crc, std::move(body)});
   return true;
 }
 
-std::optional<Message> InProcessTransport::recv(NodeId node) {
-  return inboxes_[node]->pop();
+std::optional<Message> InProcessTransport::recv(
+    NodeId node, std::chrono::steady_clock::time_point deadline) {
+  return inboxes_[node]->pop(deadline);
 }
 
 void InProcessTransport::close() {

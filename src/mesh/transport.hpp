@@ -108,10 +108,10 @@ struct Heartbeat {
   std::uint64_t seq = 0;
 };
 
-/// Master → everyone (and master → itself, so the verdict is serialised
-/// with result handling): `node` is declared dead. Mediators prune it
-/// from candidate chains, thieves stop picking it as a victim, and the
-/// master re-grants its uncompleted regions to survivors.
+/// Master → everyone: `node` is declared dead. Mediators prune it from
+/// candidate chains, thieves stop picking it as a victim. The master
+/// applies its own verdict inline on its service thread (re-granting the
+/// dead node's uncompleted regions to survivors) before broadcasting it.
 struct NodeDown {
   NodeId node = 0;
   std::uint32_t epoch = 0;  // cluster-wide death count when declared
@@ -138,9 +138,9 @@ struct RegionGrant {
   telemetry::SpanContext span;
 };
 
-/// Node → master: periodic metrics sample on the heartbeat ticker
-/// (DESIGN.md §13). The master folds the per-node streams into the live
-/// ClusterSnapshot; a dead node simply stops publishing and its last
+/// Node → master: periodic metrics sample from the node's service-loop
+/// timers (DESIGN.md §13). The master folds the per-node streams into the
+/// live ClusterSnapshot; a dead node simply stops publishing and its last
 /// sample ages out in the master's staleness accounting.
 struct TelemetrySnapshot {
   NodeId node = 0;
@@ -169,11 +169,6 @@ struct MasterAnnounce {
   std::uint32_t epoch = 0;
 };
 
-/// Master → itself on the heartbeat ticker: drives master-side periodic
-/// work (standby sync, journal upkeep) on the service thread, where the
-/// ledger lives.
-struct MasterTick {};
-
 /// Master → everyone: `node` transitioned to health `state` (a
 /// telemetry::NodeHealth value, DESIGN.md §15). Receivers update their
 /// local health view so steal-victim selection skips stragglers
@@ -191,7 +186,7 @@ using MessageBody = std::variant<CacheRequest, CacheProbe, CacheData,
                                  CacheFailure, StealRequest, StealReply,
                                  ResultMsg, Heartbeat, NodeDown, StealExport,
                                  RegionGrant, TelemetrySnapshot, LedgerSync,
-                                 MasterAnnounce, MasterTick, HealthUpdate>;
+                                 MasterAnnounce, HealthUpdate>;
 
 struct Message {
   NodeId from = 0;
@@ -213,14 +208,16 @@ std::uint32_t frame_crc(const MessageBody& body);
 // --- fault injection ------------------------------------------------------
 
 /// One scripted node kill: the node goes down (both directions — a dead
-/// node neither receives nor sends) once either trigger fires. Message
-/// triggers are checked against the transport's global delivered-message
-/// counter, which makes schedules replayable independent of wall-clock
-/// speed; time triggers exist for interactive demos.
+/// node neither receives nor sends) once either trigger fires. Result
+/// triggers are checked against the transport's count of delivered
+/// net::Tag::kResult messages: heartbeats, telemetry and other timer
+/// traffic follow the wall clock and never advance it, so a schedule
+/// lands at the same point of the work however fast the run goes. Time
+/// triggers exist for interactive demos.
 struct Fault {
   NodeId node = 0;
-  /// Fire once `after_messages` messages have been delivered (0 = unused).
-  std::uint64_t after_messages = 0;
+  /// Fire once `after_results` results have been delivered (0 = unused).
+  std::uint64_t after_results = 0;
   /// Fire once this much wall time elapsed since construction (0 = unused).
   double after_seconds = 0.0;
 };
@@ -235,7 +232,7 @@ struct FaultSchedule {
 
   static FaultSchedule single_kill(std::uint64_t seed,
                                    std::uint32_t num_nodes,
-                                   std::uint64_t max_messages);
+                                   std::uint64_t max_results);
 };
 
 // --- transport ------------------------------------------------------------
@@ -254,12 +251,17 @@ class Transport {
   virtual bool send(NodeId src, NodeId dst, net::Tag tag, MessageBody body,
                     Bytes payload_bytes = 0) = 0;
 
-  /// Blocking receive for `node`'s service thread; nullopt once the
-  /// transport is closed and the inbox drained.
-  virtual std::optional<Message> recv(NodeId node) = 0;
+  /// Receive for `node`'s service thread, waiting at most until
+  /// `deadline` (by default, for ever); nullopt once the deadline passes
+  /// with the inbox empty, or once the transport is closed and the inbox
+  /// drained — closed() tells the two apart.
+  virtual std::optional<Message> recv(
+      NodeId node, std::chrono::steady_clock::time_point deadline =
+                       std::chrono::steady_clock::time_point::max()) = 0;
 
   /// Close every inbox (wakes all service threads).
   virtual void close() = 0;
+  virtual bool closed() const = 0;
 
   /// Whether `node` is known dead. The in-process transport answers from
   /// its fault injector; a wire transport may always answer false (a real
@@ -308,8 +310,13 @@ class InProcessTransport final : public Transport {
   }
   bool send(NodeId src, NodeId dst, net::Tag tag, MessageBody body,
             Bytes payload_bytes = 0) override;
-  std::optional<Message> recv(NodeId node) override;
+  std::optional<Message> recv(
+      NodeId node, std::chrono::steady_clock::time_point deadline =
+                       std::chrono::steady_clock::time_point::max()) override;
   void close() override;
+  bool closed() const override {
+    return closed_.load(std::memory_order_acquire);
+  }
   net::TrafficCounters counters() const override;
 
   /// Sender-side per-tag table for one node (what `node` put on the wire,
@@ -339,10 +346,10 @@ class InProcessTransport final : public Transport {
   /// how real failure detectors get fooled).
   void set_link_down(NodeId src, NodeId dst, bool down = true);
 
-  /// Messages delivered so far (the clock FaultSchedule message triggers
-  /// run on).
-  std::uint64_t delivered_messages() const {
-    return delivered_.load(std::memory_order_acquire);
+  /// kResult messages delivered so far (the clock FaultSchedule result
+  /// triggers run on).
+  std::uint64_t delivered_results() const {
+    return delivered_results_.load(std::memory_order_acquire);
   }
 
  private:
@@ -353,7 +360,7 @@ class InProcessTransport final : public Transport {
   std::unique_ptr<std::atomic<bool>[]> down_;
   std::unique_ptr<std::atomic<bool>[]> link_down_;  // [src * p + dst]
   std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> delivered_{0};
+  std::atomic<std::uint64_t> delivered_results_{0};
   std::atomic<std::uint64_t> corrupted_{0};
   std::atomic<bool> faults_pending_{false};
   std::chrono::steady_clock::time_point epoch_;

@@ -200,7 +200,7 @@ struct Engine {
     loads_inflight = &metrics.gauge("loads.inflight");
   }
 
-  /// Live sample for the mesh telemetry stream (ticker thread): engine
+  /// Live sample for the mesh telemetry stream (mesh service thread): engine
   /// atomics, cache shard counters and profiler busy atomics only — no
   /// engine lock exists to take.
   telemetry::NodeStats live_stats() const;
@@ -998,9 +998,9 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     }
   }
 
-  // Telemetry sampler: the mesh's snapshot ticker reads live engine
+  // Telemetry sampler: the mesh's snapshot timer reads live engine
   // counters through this hook; same RAII lifetime discipline as the
-  // probe so the ticker never samples a dead engine.
+  // probe so the timer never samples a dead engine.
   struct StatsRegistration {
     const MeshPort* port = nullptr;
     ~StatsRegistration() {

@@ -71,7 +71,7 @@ struct MeshPort {
 
   /// Telemetry sampler registration: called with the engine's live-stats
   /// provider before execution starts and with an empty function once the
-  /// run has drained, so the mesh's snapshot ticker samples only a live
+  /// run has drained, so the mesh's snapshot timer samples only a live
   /// engine (DESIGN.md §13).
   std::function<void(telemetry::NodeStatsFn)> register_stats;
 };

@@ -2,7 +2,7 @@
 
 // Live cluster snapshot protocol (DESIGN.md §13): every node samples its
 // runtime into a NodeStats each snapshot interval and ships it to the
-// master on the heartbeat ticker (net::Tag::kTelemetry). The master folds
+// master from its mesh service loop's timers (net::Tag::kTelemetry). The master folds
 // the per-node streams into a ClusterSnapshot — rates from consecutive
 // sample deltas, staleness from sample age — which LiveCluster exposes for
 // polling and as a callback, driving `live_mesh_demo --live-stats`.
@@ -34,7 +34,7 @@ struct NodeStats {
 };
 
 /// Sampler a node's runtime registers with its mesh layer; called on the
-/// ticker thread each snapshot interval. Empty function = no publisher.
+/// mesh service thread each snapshot interval. Empty function = no publisher.
 using NodeStatsFn = std::function<NodeStats()>;
 
 /// Grey-failure health states (DESIGN.md §15). The master's detector

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -165,6 +166,37 @@ TEST(MpmcQueue, CloseWakesConsumers) {
   std::thread t([&] { EXPECT_EQ(q.pop(), std::nullopt); });
   q.close();
   t.join();
+}
+
+TEST(MpmcQueue, DeadlinePopTimesOutWakesEarlyAndSeesClose) {
+  using Clock = std::chrono::steady_clock;
+  MpmcQueue<int> q;
+
+  // Nothing arrives: the pop returns at its deadline, empty, and the
+  // queue is still open — a timeout, not a close.
+  const auto t0 = Clock::now();
+  EXPECT_EQ(q.pop(t0 + std::chrono::milliseconds(20)), std::nullopt);
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(20));
+  EXPECT_FALSE(q.closed());
+
+  // An item pushed mid-wait wakes the consumer long before its deadline.
+  const auto far = Clock::now() + std::chrono::seconds(30);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    q.push(7);
+  });
+  EXPECT_EQ(q.pop(far), 7);
+  EXPECT_LT(Clock::now(), far - std::chrono::seconds(20));
+  producer.join();
+
+  // A close mid-wait also ends the wait early, and closed() says why.
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    q.close();
+  });
+  EXPECT_EQ(q.pop(Clock::now() + std::chrono::seconds(30)), std::nullopt);
+  EXPECT_TRUE(q.closed());
+  closer.join();
 }
 
 TEST(MpmcQueue, MultiThreadedConservation) {

@@ -65,15 +65,15 @@ TEST(FaultSchedule, SingleKillIsDeterministicAndSparesTheMaster) {
     const Fault& fault = schedule.faults[0];
     EXPECT_GE(fault.node, 1u) << "the master must never be scheduled";
     EXPECT_LE(fault.node, 3u);
-    EXPECT_GE(fault.after_messages, 1u);
-    EXPECT_LE(fault.after_messages, 200u);
+    EXPECT_GE(fault.after_results, 1u);
+    EXPECT_LE(fault.after_results, 200u);
     EXPECT_EQ(fault.after_seconds, 0.0);
     victims.insert(fault.node);
 
     // Replayable: the same seed derives the same schedule.
     const auto again = FaultSchedule::single_kill(seed, 4, 200);
     EXPECT_EQ(again.faults[0].node, fault.node);
-    EXPECT_EQ(again.faults[0].after_messages, fault.after_messages);
+    EXPECT_EQ(again.faults[0].after_results, fault.after_results);
   }
   // 64 seeds over 3 victims: every non-master node gets its turn.
   EXPECT_EQ(victims.size(), 3u);
@@ -85,17 +85,32 @@ TEST(FaultSchedule, SingleKillIsDeterministicAndSparesTheMaster) {
 
 TEST(InProcessTransport, MessageTriggeredFaultKillsTheNode) {
   InProcessTransport::Config tc;
-  tc.faults.faults.push_back(Fault{2, /*after_messages=*/2, 0.0});
+  tc.faults.faults.push_back(Fault{2, /*after_results=*/2, 0.0});
   InProcessTransport transport(3, tc);
 
-  ASSERT_TRUE(transport.send(0, 1, net::Tag::kCacheRequest,
-                             CacheRequest{1, 0}));
-  ASSERT_TRUE(transport.send(0, 1, net::Tag::kCacheRequest,
-                             CacheRequest{2, 0}));
+  // Heartbeats, telemetry samples and cache traffic never advance the
+  // trigger, however much of it flows: only result deliveries count.
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(transport.send(1, 0, net::Tag::kHeartbeat, Heartbeat{1, i}));
+    ASSERT_TRUE(transport.send(2, 0, net::Tag::kTelemetry,
+                               TelemetrySnapshot{2, i, {}}));
+    ASSERT_TRUE(transport.send(0, 2, net::Tag::kCacheRequest,
+                               CacheRequest{i, 0, {}}));
+  }
+  EXPECT_EQ(transport.delivered_results(), 0u);
+  EXPECT_FALSE(transport.is_down(2));
+
+  ASSERT_TRUE(transport.send(1, 0, net::Tag::kResult,
+                             ResultMsg{PairResult{0, 1, 1.0}, {}}));
+  EXPECT_EQ(transport.delivered_results(), 1u);
+  ASSERT_TRUE(transport.send(2, 0, net::Tag::kResult,
+                             ResultMsg{PairResult{0, 2, 1.0}, {}}));
+  EXPECT_EQ(transport.delivered_results(), 2u);
   EXPECT_FALSE(transport.is_down(2)) << "faults fire on send, not eagerly";
 
-  // Two messages delivered: the next send evaluates the schedule and the
-  // fault fires before delivery — node 2 is dead in both directions.
+  // Two results delivered: the next send of any kind evaluates the
+  // schedule and the fault fires before delivery — node 2 is dead in both
+  // directions.
   EXPECT_FALSE(transport.send(0, 2, net::Tag::kCacheRequest,
                               CacheRequest{3, 0}));
   EXPECT_TRUE(transport.is_down(2));
@@ -104,8 +119,8 @@ TEST(InProcessTransport, MessageTriggeredFaultKillsTheNode) {
   // Survivor links keep working, and rejected sends are not recorded.
   EXPECT_TRUE(transport.send(0, 1, net::Tag::kCacheRequest,
                              CacheRequest{5, 0}));
-  EXPECT_EQ(transport.counters().total_messages(), 3u);
-  EXPECT_EQ(transport.delivered_messages(), 3u);
+  EXPECT_EQ(transport.counters().total_messages(), 15u + 2u + 1u);
+  EXPECT_EQ(transport.delivered_results(), 2u);
   transport.close();
 }
 
@@ -587,12 +602,16 @@ TEST(ChaosMatrix, SingleKillsPreserveExactResults) {
   ASSERT_EQ(expected.size(), 20ull * 19 / 2);
 
   // Kill each non-master node at an early, mid and late point of the
-  // message stream. Message triggers make the schedules replayable
-  // independent of wall-clock speed.
+  // stretch where every node still owes work. A node's initial share is
+  // about 47 of the 190 pairs, and on a loaded host one node can deliver
+  // all of it before the others deliver any, so a kill past ~40 results
+  // may land on a node that owes nothing and orphan no work. Result
+  // triggers make the schedules replayable independent of wall-clock
+  // speed.
   for (const NodeId victim : {1u, 2u, 3u}) {
-    for (const std::uint64_t after : {5ull, 35ull, 90ull}) {
+    for (const std::uint64_t after : {5ull, 20ull, 35ull}) {
       SCOPED_TRACE("kill node " + std::to_string(victim) + " after " +
-                   std::to_string(after) + " messages");
+                   std::to_string(after) + " results");
       FaultSchedule schedule;
       schedule.faults.push_back(Fault{victim, after, 0.0});
       const auto outcome = run_chaos(app, store, std::move(schedule));
@@ -613,11 +632,12 @@ TEST(ChaosMatrix, TwoNodeDeathsSurvived) {
   apps::ForensicsApplication app(dataset);
   const ResultMap expected = single_node_reference(app, store);
 
-  // Two of the three workers die at different points; the master and one
-  // survivor absorb the whole pair space.
+  // Two of the three workers die at different points, both while they
+  // still owe work (see SingleKillsPreserveExactResults); the master and
+  // one survivor absorb the whole pair space.
   FaultSchedule schedule;
-  schedule.faults.push_back(Fault{1, 20, 0.0});
-  schedule.faults.push_back(Fault{2, 70, 0.0});
+  schedule.faults.push_back(Fault{1, 15, 0.0});
+  schedule.faults.push_back(Fault{2, 35, 0.0});
   const auto outcome = run_chaos(app, store, std::move(schedule));
   expect_survived_exactly(outcome, expected, 2);
 }
@@ -656,7 +676,8 @@ TEST(ChaosMatrix, GreyFailureStragglerFlakyStoreAndKillSurvived) {
   // All three failure modes at once (DESIGN.md §15): node 1 is a grey
   // straggler (50x slower kernels, half a millisecond of extra store
   // latency per read), every node's store reads are flaky, and node 3
-  // dies outright mid-run. The consecutive-failure cap keeps every
+  // dies outright mid-run, after 300 of the 2016 results (by half way the
+  // healthy nodes may have drained their own shares). The consecutive-failure cap keeps every
   // transient streak inside the default per-load retry allowance, so the
   // result multiset must still be exact.
   storage::FlakyStore::Config flaky_cfg;
@@ -686,7 +707,7 @@ TEST(ChaosMatrix, GreyFailureStragglerFlakyStoreAndKillSurvived) {
   cfg.slow_node = 1;
   cfg.slow_factor = 50.0;
   cfg.slow_store_latency_us = 500;
-  cfg.faults.faults.push_back(Fault{3, 40, 0.0});
+  cfg.faults.faults.push_back(Fault{3, 300, 0.0});
   LiveCluster cluster(cfg);
 
   ChaosOutcome outcome;
@@ -1044,12 +1065,12 @@ TEST(MasterFailover, KillMasterMatrixPreservesExactResults) {
   const ResultMap expected = single_node_reference(app, store);
   ASSERT_EQ(expected.size(), 20ull * 19 / 2);
 
-  // Kill node 0 — the initial master — early, mid and late in the message
-  // stream. The lowest live node must adopt the role, dedup against its
+  // Kill node 0 — the initial master — early, mid and late in the 190
+  // results. The lowest live node must adopt the role, dedup against its
   // mirrored ledger, and complete the aggregation: the exact single-node
   // multiset, every pair delivered exactly once across both masters.
-  for (const std::uint64_t after : {5ull, 60ull, 150ull}) {
-    SCOPED_TRACE("kill master after " + std::to_string(after) + " messages");
+  for (const std::uint64_t after : {5ull, 95ull, 170ull}) {
+    SCOPED_TRACE("kill master after " + std::to_string(after) + " results");
     FaultSchedule schedule;
     schedule.faults.push_back(Fault{0, after, 0.0});
     const auto outcome = run_durable(app, store, std::move(schedule));
@@ -1101,12 +1122,12 @@ TEST(MasterFailover, FailoverOffBatchesAndDeliversExactlyOnce) {
     EXPECT_EQ(outcome.report.master_failovers, 0u);
   }
 
-  // A master kill ends the run early: the dead master's pending batch is
-  // dropped, never delivered. What did reach the user (nothing, if the
-  // kill lands before the first flush) is a subset of the single-node
-  // multiset, bit for bit, each pair once.
+  // A master kill halfway through the results ends the run early: the
+  // dead master's pending batch is dropped, never delivered. What did
+  // reach the user is a subset of the single-node multiset, bit for bit,
+  // each pair once.
   FaultSchedule schedule;
-  schedule.faults.push_back(Fault{0, 150, 0.0});
+  schedule.faults.push_back(Fault{0, 95, 0.0});
   const auto outcome = run_durable(app, store, std::move(schedule), nullptr,
                                    false, /*master_failover=*/false);
   EXPECT_EQ(outcome.report.master_failovers, 0u);
@@ -1160,13 +1181,14 @@ TEST(Checkpoint, KillAllThenResumeRoundTrip) {
   const ResultMap expected = single_node_reference(app, store);
 
   // Run 1: every node dies, the master last (so some result batches have
-  // been journalled). The watchdog ends the run; the journal survives.
+  // been journalled) and before the last of the 190 results. The watchdog
+  // ends the run; the journal survives.
   storage::MemoryStore checkpoint_store;
   FaultSchedule schedule;
   schedule.faults.push_back(Fault{1, 30, 0.0});
   schedule.faults.push_back(Fault{2, 60, 0.0});
   schedule.faults.push_back(Fault{3, 90, 0.0});
-  schedule.faults.push_back(Fault{0, 220, 0.0});
+  schedule.faults.push_back(Fault{0, 150, 0.0});
   const auto first =
       run_durable(app, store, std::move(schedule), &checkpoint_store);
   EXPECT_TRUE(first.report.checkpoint.enabled);

@@ -210,8 +210,9 @@ TEST(ResultLedger, PairsOwedTracksGrantsTransfersAndDeliveries) {
 
 // --- node health state machine --------------------------------------------
 
-/// Three MeshNodes with the health detector live on the master and NO
-/// runtimes or tickers: telemetry snapshots are fabricated by the test,
+/// Three MeshNodes with the health detector live on the master, NO
+/// runtimes, and no timer period set (so the service loops never tick
+/// and publish nothing): telemetry snapshots are fabricated by the test,
 /// so every rate — and therefore every verdict — is scripted, counters
 /// and uptime clock alike. The master holds a real ledger (grants pin
 /// the owed-work guard open).

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
 #include <mutex>
@@ -244,6 +245,51 @@ TEST(MeshNode, UnservedCandidateForwardsAlongChain) {
   const auto stats = mesh.nodes[0]->peer_stats();
   ASSERT_EQ(stats.hits_at_hop.size(), 2u);
   EXPECT_EQ(stats.hits_at_hop[1], 1u);  // found at the second hop
+}
+
+TEST(MeshNode, TimersFlushAPartialResultBatch) {
+  // Three results trickle into a master whose batch holds 64, and nothing
+  // else arrives: no batch fills and the run never completes, so only the
+  // service loop's timer tick can deliver them. Node 1 is a bare inbox.
+  constexpr double kHeartbeat = 0.05;
+  InProcessTransport transport(2);
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  std::mutex mutex;
+  std::condition_variable delivered_cv;
+  std::vector<PairResult> delivered;  // guarded by mutex
+  MeshNode::Config mc;
+  mc.id = MeshNode::kMaster;
+  mc.heartbeat_interval_s = kHeartbeat;
+  mc.result_batch_pairs = 64;
+  mc.expected_pairs = 100;
+  mc.on_result = [&](const PairResult& r) {
+    {
+      std::scoped_lock lock(mutex);
+      delivered.push_back(r);
+    }
+    delivered_cv.notify_all();
+  };
+  MeshNode master(mc, transport, done);
+  master.start();
+
+  for (ItemId k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(transport.send(1, 0, net::Tag::kResult,
+                               ResultMsg{PairResult{0, k, 0.5 * k}, {}}));
+  }
+  {
+    std::unique_lock lock(mutex);
+    EXPECT_TRUE(delivered_cv.wait_for(
+        lock, std::chrono::duration<double>(4 * kHeartbeat),
+        [&] { return delivered.size() == 3; }))
+        << delivered.size() << " of 3 results delivered";
+  }
+  transport.close();
+  master.join();
+  ASSERT_EQ(delivered.size(), 3u);
+  for (ItemId k = 1; k <= 3; ++k) {
+    EXPECT_EQ(delivered[k - 1].right, k);
+    EXPECT_EQ(delivered[k - 1].score, 0.5 * k);
+  }
 }
 
 // --- LiveCluster end-to-end ----------------------------------------------
