@@ -165,7 +165,7 @@ void MeshNode::serve_loop() {
     // One clock read per wake-up serves the lease renewal and the timers.
     const auto now = Clock::now();
     if (msg) {
-      on_message(std::move(*msg), now);
+      on_message(*msg, now);
     } else if (transport_.closed()) {
       return;
     }
@@ -178,7 +178,7 @@ void MeshNode::serve_loop() {
   }
 }
 
-void MeshNode::on_message(Message msg,
+void MeshNode::on_message(Message& msg,
                           std::chrono::steady_clock::time_point now) {
   // A killed node observes its own death at the next message boundary and
   // goes silent: queued messages are discarded, nothing is acted on.

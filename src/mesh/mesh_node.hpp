@@ -366,8 +366,9 @@ class MeshNode final : public runtime::PeerFetchClient {
 
   void serve_loop();
 
-  /// Service thread: one inbox message, received at `now`.
-  void on_message(Message msg, std::chrono::steady_clock::time_point now);
+  /// Service thread: one inbox message, received at `now`; its body is
+  /// moved out.
+  void on_message(Message& msg, std::chrono::steady_clock::time_point now);
 
   /// Service thread, once per tick: heartbeats, the master's partial-batch
   /// flush and standby re-sync, fetch deadlines, the telemetry sample and,
